@@ -1,6 +1,6 @@
 //! Wall-clock throughput benchmark for the simcore batched-access fast path.
 //!
-//! Replays five access traces through the scalar `Cpu::load`/`Cpu::store`
+//! Replays six access traces through the scalar `Cpu::load`/`Cpu::store`
 //! verbs and through `Cpu::access_run`, and reports simulated accesses per
 //! host second for each, plus the speedup. The two replays issue the
 //! *identical* access sequence (the equivalence is proven bit-exact by
@@ -51,7 +51,7 @@ const PREV_RELEASE_REPRO_ALL_S: f64 = 471.9;
 /// The floor is a regression tripwire — the binary exits non-zero below it.
 /// The target is the fast-path design goal; it is recorded per trace in the
 /// JSON and a miss is printed as a note, not a failure. The SoA cache
-/// arrays (PR 7) moved two of PR 6's missed targets: `scan_cold` now
+/// arrays moved two of the fused walk's earlier missed targets: `scan_cold` now
 /// reaches its 3× target on quiet host windows (measured 2.4–3.2× on the
 /// shared reference host; floor raised 2.0 → 2.2 to the worst observed run
 /// minus noise margin), and `chase` gets a higher floor (1.3 → 1.4) but
@@ -580,4 +580,48 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_simcore.json` must agree with the code that
+    /// writes it: every trace's floor and target equal [`THRESHOLDS`], and
+    /// its `target_met` flag matches its recorded speedup.
+    #[test]
+    fn committed_bench_file_matches_thresholds() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json");
+        let text = std::fs::read_to_string(path).expect("read the committed BENCH_simcore.json");
+        let v = parse(&text).expect("BENCH_simcore.json parses");
+        let traces = v
+            .get("traces")
+            .and_then(Json::as_arr)
+            .expect("\"traces\" array");
+        assert_eq!(traces.len(), THRESHOLDS.len(), "one entry per trace");
+        for t in traces {
+            let name = t.get("name").and_then(Json::as_str).expect("trace name");
+            let num = |key: &str| {
+                t.get(key)
+                    .and_then(Json::as_f64)
+                    .unwrap_or_else(|| panic!("{name}: no numeric {key:?}"))
+            };
+            let (floor, target) = thresholds_for(name);
+            assert_eq!(num("floor"), floor, "{name}: floor differs from THRESHOLDS");
+            assert_eq!(
+                num("target"),
+                target,
+                "{name}: target differs from THRESHOLDS"
+            );
+            let target_met = match t.get("target_met") {
+                Some(Json::Bool(b)) => *b,
+                other => panic!("{name}: target_met is {other:?}"),
+            };
+            assert_eq!(
+                target_met,
+                num("speedup") >= target,
+                "{name}: target_met disagrees with its speedup"
+            );
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! [`mjrt::Experiment`] registered in [`experiments::REGISTRY`] (see
 //! DESIGN.md §4 for the experiment index). The `repro_all` binary drives the
 //! whole registry through the `mjrt` scheduler (`--jobs N` workers,
-//! `--filter SUBSTR` selection); the per-experiment binaries are thin
-//! wrappers over [`run_bin`].
+//! `--filter SUBSTR` selection; `repro_all --filter <name>` runs one
+//! experiment).
 //!
 //! The simulator is deterministic, so one warm measured run replaces the
 //! paper's 100 averaged runs; result display is disabled exactly as the
@@ -176,29 +176,6 @@ pub fn share_header() -> Vec<String> {
     h
 }
 
-/// Entry point shared by the thin per-experiment binaries: parse the harness
-/// configuration (CLI flags over `MJ_*` env), look `name` up in the
-/// registry, and run it under the scheduler.
-pub fn run_bin(name: &str) -> ! {
-    let cfg = match mjrt::HarnessConfig::from_env_and_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let exp =
-        experiments::find(name).unwrap_or_else(|| panic!("{name} is not a registered experiment"));
-    match mjrt::run_single(exp, &cfg, &mut std::io::stdout().lock()) {
-        Ok(true) => std::process::exit(0),
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("io error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,25 +199,5 @@ mod tests {
         assert!(experiments::find("fig07_tpch").is_some());
         assert!(experiments::find("ext_rowcol").is_some());
         assert!(experiments::find("no_such_experiment").is_none());
-    }
-
-    #[test]
-    fn every_registered_experiment_has_a_wrapper_binary() {
-        // The per-experiment binaries are thin `run_bin(name)` wrappers; a
-        // registry entry without one is only reachable through `repro_all`.
-        // (`repro_all` itself, `perfbench` and `trace_check` are drivers,
-        // not experiments; `difftest` and `serve_oltp` ship their binaries
-        // from their home crates.)
-        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        for e in experiments::REGISTRY {
-            if matches!(e.name(), "difftest" | "serve_oltp") {
-                continue;
-            }
-            assert!(
-                bins.join(format!("{}.rs", e.name())).is_file(),
-                "experiment {} has no src/bin wrapper",
-                e.name()
-            );
-        }
     }
 }

@@ -409,10 +409,7 @@ impl Cache {
             .iter()
             .position(|&m| meta_matches(m, key))
         {
-            let m = self.meta[s + w];
-            let was_prefetched = m & PREFETCHED != 0;
-            self.meta[s + w] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
-            self.ranks[set] = rank::promote(self.ranks[set], w, self.ways);
+            let was_prefetched = self.demand_hit(set, w, write);
             return Lookup::Hit { was_prefetched };
         }
         Lookup::Miss
@@ -429,19 +426,44 @@ impl Cache {
     /// the scalar path, whose own `access` performs the stamp increment the
     /// scalar sequence would have seen.
     pub fn access_run(&mut self, line_addr: u64, max_lines: u64, write: bool) -> u64 {
+        self.hit_run::<false>(line_addr, max_lines, write, &mut Vec::new())
+    }
+
+    /// [`Cache::access_run`] that additionally records the within-set way
+    /// index of every counted hit into `ways` (for the memoized-replay
+    /// cache). State effects are identical to `access_run`.
+    pub fn access_run_record(
+        &mut self,
+        line_addr: u64,
+        max_lines: u64,
+        write: bool,
+        ways: &mut Vec<u8>,
+    ) -> u64 {
+        self.hit_run::<true>(line_addr, max_lines, write, ways)
+    }
+
+    /// The hit loop behind both run verbs. `RECORD` is a compile-time flag,
+    /// so the non-recording instantiation does no recording work per hit.
+    #[inline]
+    fn hit_run<const RECORD: bool>(
+        &mut self,
+        line_addr: u64,
+        max_lines: u64,
+        write: bool,
+        ways: &mut Vec<u8>,
+    ) -> u64 {
         let mut ln = line_addr >> LINE_SHIFT;
         let mask = self.sets - 1;
         let mut hits = 0u64;
         while hits < max_lines {
             let set = (ln & mask) as usize;
-            let key = meta_key(ln >> self.set_shift);
-            let s = set * self.ways;
-            let Some(w) = self.match_in_set(s, set, key) else {
+            let Some(w) = self.match_in_set(set, meta_key(ln >> self.set_shift)) else {
                 break;
             };
-            let m = self.meta[s + w];
-            self.meta[s + w] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
-            self.ranks[set] = rank::promote(self.ranks[set], w, self.ways);
+            self.demand_hit(set, w, write);
+            if RECORD {
+                ways.push(w as u8);
+            }
             self.stamp += 1;
             hits += 1;
             ln += 1;
@@ -449,10 +471,11 @@ impl Cache {
         hits
     }
 
-    /// The way matching `key` in the set starting at flat index `s`, if any
-    /// — the shared inner scan of the bulk-run verbs, AVX2 where available.
+    /// The way of `set` matching `key`, if any — the shared inner scan of
+    /// the bulk-run verbs, AVX2 where available.
     #[inline]
-    fn match_in_set(&self, s: usize, set: usize, key: u32) -> Option<usize> {
+    fn match_in_set(&self, set: usize, key: u32) -> Option<usize> {
+        let s = set * self.ways;
         #[cfg(target_arch = "x86_64")]
         if self.simd {
             // SAFETY: `simd` is set only when AVX2 was detected and the
@@ -461,11 +484,21 @@ impl Cache {
                 simd::scan(self.meta.as_ptr().add(s), self.ranks[set], self.ways, key).ok()
             };
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = set;
         self.meta[s..s + self.ways]
             .iter()
             .position(|&m| meta_matches(m, key))
+    }
+
+    /// The hit arm of a demand access at way `w` of `set`: clear
+    /// `prefetched`, dirty on write, promote most-recent. Returns
+    /// `was_prefetched`; the stamp is the caller's to advance.
+    #[inline]
+    fn demand_hit(&mut self, set: usize, w: usize, write: bool) -> bool {
+        let i = set * self.ways + w;
+        let m = self.meta[i];
+        self.meta[i] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
+        self.ranks[set] = rank::promote(self.ranks[set], w, self.ways);
+        m & PREFETCHED != 0
     }
 
     /// `n` repeated demand accesses to one resident line, in O(1). Returns
@@ -480,19 +513,12 @@ impl Cache {
         }
         let ln = line_addr >> LINE_SHIFT;
         let set = (ln & (self.sets - 1)) as usize;
-        let s = set * self.ways;
-        let key = meta_key(ln >> self.set_shift);
-        if let Some(w) = self.meta[s..s + self.ways]
-            .iter()
-            .position(|&m| meta_matches(m, key))
-        {
-            let m = self.meta[s + w];
-            self.meta[s + w] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
-            self.ranks[set] = rank::promote(self.ranks[set], w, self.ways);
-            self.stamp += n;
-            return true;
-        }
-        false
+        let Some(w) = self.match_in_set(set, meta_key(ln >> self.set_shift)) else {
+            return false;
+        };
+        self.demand_hit(set, w, write);
+        self.stamp += n;
+        true
     }
 
     /// Pure lookup: the way index holding `line_addr`, if resident. No LRU,
@@ -578,13 +604,8 @@ impl Cache {
     /// `was_prefetched`.
     pub fn touch_way(&mut self, way: usize, write: bool) -> bool {
         self.stamp += 1;
-        let m = self.meta[way];
-        debug_assert!(meta_valid(m), "touch_way on an invalid way");
-        let was_prefetched = m & PREFETCHED != 0;
-        self.meta[way] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
-        let set = way / self.ways;
-        self.ranks[set] = rank::promote(self.ranks[set], way % self.ways, self.ways);
-        was_prefetched
+        debug_assert!(meta_valid(self.meta[way]), "touch_way on an invalid way");
+        self.demand_hit(way / self.ways, way % self.ways, write)
     }
 
     /// Consume the stamp a scalar [`Cache::access`] miss would have consumed
@@ -621,37 +642,6 @@ impl Cache {
             self.way_hint[Self::hint_slot(line_addr)] = (way % self.ways) as u8;
         }
         out
-    }
-
-    /// [`Cache::access_run`] that additionally records the within-set way
-    /// index of every counted hit into `ways` (for the memoized-replay
-    /// cache). State effects are identical to `access_run`.
-    pub fn access_run_record(
-        &mut self,
-        line_addr: u64,
-        max_lines: u64,
-        write: bool,
-        ways: &mut Vec<u8>,
-    ) -> u64 {
-        let mut ln = line_addr >> LINE_SHIFT;
-        let mask = self.sets - 1;
-        let mut hits = 0u64;
-        while hits < max_lines {
-            let set = (ln & mask) as usize;
-            let key = meta_key(ln >> self.set_shift);
-            let s = set * self.ways;
-            let Some(w) = self.match_in_set(s, set, key) else {
-                break;
-            };
-            let m = self.meta[s + w];
-            self.meta[s + w] = (m & !PREFETCHED) | if write { DIRTY } else { 0 };
-            self.ranks[set] = rank::promote(self.ranks[set], w, self.ways);
-            ways.push(w as u8);
-            self.stamp += 1;
-            hits += 1;
-            ln += 1;
-        }
-        hits
     }
 
     /// Replay a recorded all-hit run without re-scanning the sets. Sound
@@ -775,11 +765,6 @@ impl Cache {
     /// Number of valid lines (test/diagnostic helper).
     pub fn resident(&self) -> usize {
         self.meta.iter().filter(|&&m| meta_valid(m)).count()
-    }
-
-    /// Total capacity in lines.
-    pub fn capacity_lines(&self) -> usize {
-        self.meta.len()
     }
 }
 
@@ -1400,10 +1385,10 @@ mod tests {
                 let a = (rng() % 4096) * 64;
                 match rng() % 4 {
                     0 => {
-                        c.fill(a, rng() % 2 == 0, rng() % 2 == 0);
+                        c.fill(a, rng().is_multiple_of(2), rng().is_multiple_of(2));
                     }
                     1 => {
-                        c.access(a, rng() % 2 == 0);
+                        c.access(a, rng().is_multiple_of(2));
                     }
                     2 => {
                         c.invalidate(a);
@@ -1485,21 +1470,21 @@ mod tests {
         let a = (rng() % addr_lines) * 64;
         match rng() % 8 {
             0 | 1 => {
-                let (d, p) = (rng() % 2 == 0, rng() % 2 == 0);
+                let (d, p) = (rng().is_multiple_of(2), rng().is_multiple_of(2));
                 assert_eq!(c.fill(a, d, p), o.fill(a, d, p), "fill {a}");
             }
             2 | 3 => {
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(c.access(a, w), o.access(a, w), "access {a}");
             }
             4 => {
                 let n = rng() % 64;
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(c.access_run(a, n, w), o.access_run(a, n, w), "run {a}");
             }
             5 => {
                 let n = rng() % 9;
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(
                     c.access_repeat(a, n, w),
                     o.access_repeat(a, n, w),
@@ -1536,7 +1521,7 @@ mod tests {
             };
             let mut c = Cache::new(&cfg);
             let mut o = oracle::StampCache::new(&cfg);
-            let mut rng = rng_from(0x5851_f42d_4c95_7f2d ^ size as u64);
+            let mut rng = rng_from(0x5851_f42d_4c95_7f2d ^ size);
             for i in 0..PROP_ITERS {
                 let a = drive_pair(&mut c, &mut o, &mut rng, addr_lines);
                 assert_eq!(c.stamp(), o.stamp(), "stamp after op {i}");
@@ -1553,7 +1538,7 @@ mod tests {
                     c.ranks[set]
                 );
                 // Occasionally flush both and re-verify from empty.
-                if rng() % 512 == 0 {
+                if rng().is_multiple_of(512) {
                     c.flush();
                     o.flush();
                 }

@@ -88,45 +88,8 @@ pub fn take_cache_bytes_resident() -> u64 {
     CACHE_BYTES_RESIDENT.swap(0, Ordering::Relaxed)
 }
 
-/// Per-access charge constants for one homogeneous run flavor (L1D/TCM ×
-/// load/store) at a fixed operating point. Every field holds the exact value
-/// the scalar path computes for the same access, so replaying the additions
-/// in [`Cpu::charge_known_run`] is bit-identical to the scalar sequence —
-/// the speedup comes from hoisting the curve interpolation, voltage math and
-/// dispatch out of the loop, never from reassociating the arithmetic.
-#[derive(Debug, Clone, Copy)]
-struct RunFlavor {
-    /// Effective front-end price (`fetch_price_eff`).
-    fetch: Price,
-    /// Decode-switch penalty, charged only on a class transition.
-    decode: Price,
-    /// Hit price (`load_price(L1d/Tcm)` / `store_price`).
-    price: Price,
-    /// Busy cycles per access (issue slot for loads, 1.0 for stores).
-    busy: f64,
-    /// `busy / freq_hz()` — wall time per access.
-    dt: f64,
-    /// Background energy per access: `background_w(ps, busy=true) · dt`,
-    /// in nanojoules per domain (the exact products `charge_power` forms).
-    bg_nj: Price,
-}
-
-/// The four run flavors, cached per `(pstate, ifetch_discount)`.
-#[derive(Debug, Clone, Copy)]
-struct RunCharges {
-    pstate: PState,
-    ifetch_discount: f64,
-    /// Indexed by `flavor_index(write, tcm)`.
-    flavors: [RunFlavor; 4],
-}
-
-#[inline]
-fn flavor_index(write: bool, tcm: bool) -> usize {
-    (tcm as usize) * 2 + write as usize
-}
-
-/// Hierarchy-level index for the per-level constant tables in
-/// [`ColdCharges`]: `Tcm, L1d, L2, L3, Mem` → `0..=4`.
+/// Hierarchy-level index for the per-level constant tables in [`Prices`]:
+/// `Tcm, L1d, L2, L3, Mem` → `0..=4`.
 #[inline]
 fn level_ix(level: HitLevel) -> usize {
     match level {
@@ -138,18 +101,37 @@ fn level_ix(level: HitLevel) -> usize {
     }
 }
 
-/// Hoisted per-access constants for the fused cold-run/chase fast path at a
-/// fixed `(pstate, ifetch_discount)` operating point. Like [`RunFlavor`],
-/// every field holds the *exact* f64 the scalar path computes for the same
-/// access — prices via the same model calls, stall cycles via the same
-/// `lat / mlp` divisions, wall-time steps via the same `/ hz` divisions —
-/// so the fast steps replay the scalar additions operand-for-operand and
-/// stay bit-identical. Only lookups and dispatch are hoisted, never the
-/// arithmetic.
-#[derive(Debug, Clone)]
-struct ColdCharges {
-    pstate: PState,
-    ifetch_discount: f64,
+/// Hoisted operands of `advance(cycles, 0.0)`: the busy cycles, their wall
+/// time `cycles / hz`, and the background energy `background_w(pstate,
+/// busy=true) · dt` in nanojoules per domain (the exact products
+/// `charge_power` forms).
+#[derive(Debug, Clone, Copy, Default)]
+struct BusyStep {
+    cycles: f64,
+    dt: f64,
+    bg_nj: Price,
+}
+
+/// Hoisted operands of `advance(0.0, cycles)`: the stall cycles and their
+/// wall time `cycles / hz`.
+#[derive(Debug, Clone, Copy, Default)]
+struct StallStep {
+    cycles: f64,
+    dt: f64,
+}
+
+/// The per-access charge constants of every fast path — hot batches,
+/// replay, repeats and the fused cold-run/chase steps — at one
+/// `(pstate, ifetch_discount)` operating point. Every field holds the
+/// *exact* f64 the scalar path computes for the same access — prices via
+/// the same model calls, stall cycles via the same `lat / mlp` divisions,
+/// wall-time steps via the same `/ hz` divisions — so the fast paths replay
+/// the scalar additions operand-for-operand and stay bit-identical. Only
+/// lookups and dispatch are hoisted, never the accumulating arithmetic.
+#[derive(Debug, Clone, Default)]
+struct Prices {
+    /// The operating point the table was built for (`None` until first use).
+    at: Option<(PState, f64)>,
     hz: f64,
     /// `background_w(pstate, busy=true)` per domain (W).
     bg: (f64, f64, f64),
@@ -160,8 +142,8 @@ struct ColdCharges {
     /// `stall_price(hz)` for one stall cycle (scaled by `n` at charge time,
     /// exactly as `advance` does).
     stall_unit: Price,
-    /// `store_price(false, hz)` (fused runs never touch TCM).
-    store: Price,
+    /// `store_price(tcm, hz)`, indexed by `tcm as usize`.
+    store: [Price; 2],
     /// `load_price(level, dram_row_hit, hz)`, indexed `[level_ix][row_hit]`.
     load: [[Price; 2]; 5],
     pf_l2: Price,
@@ -169,20 +151,17 @@ struct ColdCharges {
     pf_l3: [Price; 2],
     /// Writeback prices for L1d/L2/L3.
     wb: [Price; 3],
-    /// `latency / mlp` stream stall per level, and its `/ hz` wall time.
-    stream_stall: [f64; 5],
-    stream_stall_dt: [f64; 5],
-    /// `latency / mlp / 2.0` write-allocate stall per level, and wall time.
-    alloc_stall: [f64; 5],
-    alloc_stall_dt: [f64; 5],
+    /// `latency / mlp` stream stall per level.
+    stream_stall: [StallStep; 5],
+    /// `latency / mlp / 2.0` write-allocate stall per level.
+    alloc_stall: [StallStep; 5],
     /// Chase shadow re-arm per level: `(lat - 1).max(0)` and its OOO cap.
     chase_pending: [f64; 5],
     chase_fillable: [f64; 5],
-    /// Load issue slot (`1 / load_issue_width`) and its wall time.
-    issue: f64,
-    issue_dt: f64,
-    /// `1.0 / hz` — wall time of one busy cycle (`advance(1, 0)`).
-    one_dt: f64,
+    /// A load's issue slot (`1 / load_issue_width` busy cycles).
+    issue: BusyStep,
+    /// One busy cycle: a store, or a chase load's `advance(1, 0)`.
+    one: BusyStep,
 }
 
 /// Replay-cache slots (direct-mapped).
@@ -325,11 +304,9 @@ pub struct Cpu {
     /// holding the hot code (§5: "instruction TCM (ITCM) should be
     /// considered").
     ifetch_discount: f64,
-    /// Cached per-access constants for the batched fast path, keyed on
+    /// Per-access constants of every fast path, keyed on
     /// `(pstate, ifetch_discount)`; rebuilt lazily when either changes.
-    run_charges: Option<RunCharges>,
-    /// Cached constants for the fused cold-run/chase fast path, same keying.
-    cold_charges: Option<ColdCharges>,
+    prices: Prices,
     /// Memoized sub-trace replay cache (allocated on first record).
     replay: Vec<Option<ReplayEntry>>,
     /// Recycled way buffer for replay recording.
@@ -384,8 +361,7 @@ impl Cpu {
             sampler: None,
             last_class: u8::MAX,
             ifetch_discount: 0.0,
-            run_charges: None,
-            cold_charges: None,
+            prices: Prices::default(),
             replay: Vec::new(),
             replay_scratch: Vec::new(),
             run_batched_lines: 0,
@@ -623,25 +599,23 @@ impl Cpu {
     // Batched fast path
     // ------------------------------------------------------------------
 
-    /// The cached per-access constants for the current operating point,
-    /// rebuilding them if the P-state or ITCM discount changed.
-    fn run_charges(&mut self) -> RunCharges {
-        if let Some(rc) = &self.run_charges {
-            if rc.pstate == self.pstate && rc.ifetch_discount == self.ifetch_discount {
-                return *rc;
-            }
+    /// Rebuild the price table if the operating point changed since it was
+    /// built.
+    #[inline]
+    fn ensure_prices(&mut self) {
+        if self.prices.at != Some((self.pstate, self.ifetch_discount)) {
+            self.prices = self.build_prices();
         }
+    }
+
+    /// The price table at the current operating point.
+    fn build_prices(&self) -> Prices {
         let hz = self.freq_hz();
         let bg = self.model.background_w(self.pstate, true);
-        let fetch = self.fetch_price_eff(hz);
-        let decode = self.model.decode_switch_price(hz);
-        let flavor = |price: Price, busy: f64| {
-            let dt = busy / hz;
-            RunFlavor {
-                fetch,
-                decode,
-                price,
-                busy,
+        let busy = |cycles: f64| {
+            let dt = cycles / hz;
+            BusyStep {
+                cycles,
                 dt,
                 bg_nj: Price {
                     core: bg.0 * dt * 1e9,
@@ -650,22 +624,127 @@ impl Cpu {
                 },
             }
         };
-        let load_issue = 1.0 / self.arch.load_issue_width;
-        let rc = RunCharges {
-            pstate: self.pstate,
-            ifetch_discount: self.ifetch_discount,
-            flavors: [
-                flavor(self.model.load_price(HitLevel::L1d, false, hz), load_issue),
-                flavor(self.model.store_price(false, hz), 1.0),
-                flavor(self.model.load_price(HitLevel::Tcm, false, hz), load_issue),
-                flavor(self.model.store_price(true, hz), 1.0),
-            ],
+        let stall = |cycles: f64| StallStep {
+            cycles,
+            dt: cycles / hz,
         };
-        self.run_charges = Some(rc);
-        rc
+        let levels = [
+            HitLevel::Tcm,
+            HitLevel::L1d,
+            HitLevel::L2,
+            HitLevel::L3,
+            HitLevel::Mem,
+        ];
+        let mut load = [[Price::default(); 2]; 5];
+        let mut stream_stall = [StallStep::default(); 5];
+        let mut alloc_stall = [StallStep::default(); 5];
+        let mut chase_pending = [0.0; 5];
+        let mut chase_fillable = [0.0; 5];
+        for (ix, &level) in levels.iter().enumerate() {
+            load[ix] = [
+                self.model.load_price(level, false, hz),
+                self.model.load_price(level, true, hz),
+            ];
+            let lat = self.hier.latency_cycles(&self.arch, level, hz);
+            stream_stall[ix] = stall(lat / self.arch.mlp);
+            alloc_stall[ix] = stall(lat / self.arch.mlp / 2.0);
+            chase_pending[ix] = (lat - 1.0).max(0.0);
+            chase_fillable[ix] = chase_pending[ix].min(self.arch.ooo_fill_cycles);
+        }
+        Prices {
+            at: Some((self.pstate, self.ifetch_discount)),
+            hz,
+            bg,
+            fetch: self.fetch_price_eff(hz),
+            decode: self.model.decode_switch_price(hz),
+            stall_unit: self.model.stall_price(hz),
+            store: [
+                self.model.store_price(false, hz),
+                self.model.store_price(true, hz),
+            ],
+            load,
+            pf_l2: self.model.pf_l2_price(hz),
+            pf_l3: [
+                self.model.pf_l3_price(false, hz),
+                self.model.pf_l3_price(true, hz),
+            ],
+            wb: [
+                self.model.writeback_price(HitLevel::L1d, hz),
+                self.model.writeback_price(HitLevel::L2, hz),
+                self.model.writeback_price(HitLevel::L3, hz),
+            ],
+            stream_stall,
+            alloc_stall,
+            chase_pending,
+            chase_fillable,
+            issue: busy(1.0 / self.arch.load_issue_width),
+            one: busy(1.0),
+        }
     }
 
-    /// Charge `k` known-hit accesses of one flavor.
+    // The fast-path charge pieces below replay the scalar timing/energy
+    // helpers with operands from the price table. Preconditions (enforced
+    // by callers): governor off, no sampler, prices ensured.
+
+    /// `charge_frontend(class)`.
+    #[inline]
+    fn frontend_fast(&mut self, class: u8) {
+        self.meter.charge(self.prices.fetch);
+        if self.last_class != class && self.last_class != u8::MAX {
+            self.meter.charge(self.prices.decode);
+        }
+        self.last_class = class;
+    }
+
+    /// `advance(step.cycles, 0.0)`.
+    #[inline]
+    fn busy_fast(&mut self, step: BusyStep) {
+        self.busy_cycles += step.cycles;
+        self.time_s += step.dt;
+        self.meter.charge(step.bg_nj);
+        self.win_active_s += step.dt;
+    }
+
+    /// `advance(0.0, step.cycles)`.
+    #[inline]
+    fn stall_fast(&mut self, step: StallStep) {
+        self.stall_cycles += step.cycles;
+        self.meter.charge(crate::energy::scale_price(
+            self.prices.stall_unit,
+            step.cycles,
+        ));
+        self.time_s += step.dt;
+        self.meter.charge_power(self.prices.bg, step.dt);
+        self.win_active_s += step.dt;
+    }
+
+    /// The charges every fused step opens with, in scalar order: the
+    /// retired instruction, `charge_frontend(class)`, the access `price`
+    /// and `charge_access_side_effects(r)`.
+    #[inline(always)] // per-line hot path; LLVM outlines it otherwise
+    fn charge_fused_access(&mut self, class: u8, price: Price, r: &AccessResult) {
+        self.pmu.bump(Event::Instructions);
+        self.frontend_fast(class);
+        self.meter.charge(price);
+        let p = &self.prices;
+        for _ in 0..r.pf_l2 {
+            self.meter.charge(p.pf_l2);
+        }
+        for i in 0..r.pf_l3 {
+            self.meter.charge(p.pf_l3[(i < r.pf_l3_row_hits) as usize]);
+        }
+        for _ in 0..r.wb_l1 {
+            self.meter.charge(p.wb[0]);
+        }
+        for _ in 0..r.wb_l2 {
+            self.meter.charge(p.wb[1]);
+        }
+        for _ in 0..r.wb_l3 {
+            self.meter.charge(p.wb[2]);
+        }
+    }
+
+    /// Charge `k` known L1D (or TCM) hits.
     ///
     /// This replays, per access, the exact f64 additions of the scalar path
     /// — fetch, optional decode switch, hit price, busy cycles, wall time,
@@ -677,19 +756,21 @@ impl Cpu {
     ///
     /// Preconditions (enforced by callers): governor off, no sampler, no
     /// fillable chase shadow, every access a known L1D/TCM hit.
-    fn charge_known_run(&mut self, f: RunFlavor, class: u8, k: u64) {
+    fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
+        self.ensure_prices();
+        let p = &self.prices;
+        let (price, step) = if write {
+            (p.store[tcm as usize], p.one)
+        } else {
+            let level = if tcm { HitLevel::Tcm } else { HitLevel::L1d };
+            (p.load[level_ix(level)][0], p.issue)
+        };
+        let class = write as u8;
         self.pmu.add(Event::Instructions, k);
         for _ in 0..k {
-            self.meter.charge(f.fetch);
-            if self.last_class != class && self.last_class != u8::MAX {
-                self.meter.charge(f.decode);
-            }
-            self.last_class = class;
-            self.meter.charge(f.price);
-            self.busy_cycles += f.busy;
-            self.time_s += f.dt;
-            self.meter.charge(f.bg_nj);
-            self.win_active_s += f.dt;
+            self.frontend_fast(class);
+            self.meter.charge(price);
+            self.busy_fast(step);
         }
     }
 
@@ -701,8 +782,7 @@ impl Cpu {
             Event::TcmLoad
         };
         self.pmu.add(ev, k);
-        let f = self.run_charges().flavors[flavor_index(write, true)];
-        self.charge_known_run(f, write as u8, k);
+        self.charge_known_run(write, true, k);
     }
 
     /// Route one access through the full scalar path (fallback bookkeeping).
@@ -716,132 +796,30 @@ impl Cpu {
         }
     }
 
-    /// Rebuild the fused-path constant table if the operating point changed.
-    fn ensure_cold_charges(&mut self) {
-        if let Some(cc) = &self.cold_charges {
-            if cc.pstate == self.pstate && cc.ifetch_discount == self.ifetch_discount {
-                return;
-            }
-        }
-        let hz = self.freq_hz();
-        let levels = [
-            HitLevel::Tcm,
-            HitLevel::L1d,
-            HitLevel::L2,
-            HitLevel::L3,
-            HitLevel::Mem,
-        ];
-        let mut load = [[Price::default(); 2]; 5];
-        let mut stream_stall = [0.0; 5];
-        let mut stream_stall_dt = [0.0; 5];
-        let mut alloc_stall = [0.0; 5];
-        let mut alloc_stall_dt = [0.0; 5];
-        let mut chase_pending = [0.0; 5];
-        let mut chase_fillable = [0.0; 5];
-        for (ix, &level) in levels.iter().enumerate() {
-            load[ix] = [
-                self.model.load_price(level, false, hz),
-                self.model.load_price(level, true, hz),
-            ];
-            let lat = self.hier.latency_cycles(&self.arch, level, hz);
-            stream_stall[ix] = lat / self.arch.mlp;
-            stream_stall_dt[ix] = stream_stall[ix] / hz;
-            alloc_stall[ix] = lat / self.arch.mlp / 2.0;
-            alloc_stall_dt[ix] = alloc_stall[ix] / hz;
-            chase_pending[ix] = (lat - 1.0).max(0.0);
-            chase_fillable[ix] = chase_pending[ix].min(self.arch.ooo_fill_cycles);
-        }
-        let issue = 1.0 / self.arch.load_issue_width;
-        self.cold_charges = Some(ColdCharges {
-            pstate: self.pstate,
-            ifetch_discount: self.ifetch_discount,
-            hz,
-            bg: self.model.background_w(self.pstate, true),
-            fetch: self.fetch_price_eff(hz),
-            decode: self.model.decode_switch_price(hz),
-            stall_unit: self.model.stall_price(hz),
-            store: self.model.store_price(false, hz),
-            load,
-            pf_l2: self.model.pf_l2_price(hz),
-            pf_l3: [
-                self.model.pf_l3_price(false, hz),
-                self.model.pf_l3_price(true, hz),
-            ],
-            wb: [
-                self.model.writeback_price(HitLevel::L1d, hz),
-                self.model.writeback_price(HitLevel::L2, hz),
-                self.model.writeback_price(HitLevel::L3, hz),
-            ],
-            stream_stall,
-            stream_stall_dt,
-            alloc_stall,
-            alloc_stall_dt,
-            chase_pending,
-            chase_fillable,
-            issue,
-            issue_dt: issue / hz,
-            one_dt: 1.0 / hz,
-        });
-    }
-
     /// One chase load of a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::load`] with [`Dep::Chase`] under the fast-path preconditions
-    /// (governor off, no sampler, operating point cached). The settle,
-    /// charge and shadow re-arm sequences replay the scalar additions with
-    /// hoisted operands.
+    /// [`Cpu::load`] with [`Dep::Chase`] under the fast-path preconditions.
     fn chase_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
         // Chase lines are random: start pulling their (host-side) L2/L3 set
         // slices now so they arrive while the settle arithmetic runs.
         self.hier.prefetch_sets(line);
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
         // settle(): resolve the previous chase shadow as stall.
         if self.pending > 0.0 {
             let p = self.pending;
             self.pending = 0.0;
             self.fillable = 0.0;
-            self.stall_cycles += p;
-            self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, p));
-            let dt = p / cc.hz;
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+            self.stall_fast(StallStep {
+                cycles: p,
+                dt: p / self.prices.hz,
+            });
         }
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
-        self.pmu.bump(Event::Instructions);
-        // charge_frontend(0)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 0 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 0;
-        self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
-        // advance(1.0, 0.0)
-        self.busy_cycles += 1.0;
-        self.time_s += cc.one_dt;
-        self.meter.charge_power(cc.bg, cc.one_dt);
-        self.win_active_s += cc.one_dt;
+        self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
+        self.busy_fast(self.prices.one);
         // Re-arm the shadow.
-        self.pending = cc.chase_pending[ix];
-        self.fillable = cc.chase_fillable[ix];
+        self.pending = self.prices.chase_pending[ix];
+        self.fillable = self.prices.chase_fillable[ix];
         if matches!(level, HitLevel::L1d) {
             self.run_batched_lines += 1;
         } else {
@@ -853,51 +831,16 @@ impl Cpu {
     /// [`Cpu::load`] with [`Dep::Stream`] under the fast-path preconditions
     /// (plus `fillable == 0`, so `busy_work` reduces to `advance`).
     fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
-        self.pmu.bump(Event::Instructions);
-        // charge_frontend(0)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 0 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 0;
-        self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
-        // busy_work(issue) with no fillable shadow → advance(issue, 0.0)
-        self.busy_cycles += cc.issue;
-        self.time_s += cc.issue_dt;
-        self.meter.charge_power(cc.bg, cc.issue_dt);
-        self.win_active_s += cc.issue_dt;
+        self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
+        self.busy_fast(self.prices.issue);
         if matches!(level, HitLevel::L1d) {
             self.run_batched_lines += 1;
         } else {
-            // advance(0.0, lat / mlp): MLP-amortized exposed latency.
-            let s = cc.stream_stall[ix];
-            self.stall_cycles += s;
-            self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, s));
-            let dt = cc.stream_stall_dt[ix];
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+            // MLP-amortized exposed latency.
+            self.stall_fast(self.prices.stream_stall[ix]);
             self.run_cold_batched_lines += 1;
         }
     }
@@ -906,50 +849,15 @@ impl Cpu {
     /// [`Cpu::store`] under the fast-path preconditions (plus
     /// `fillable == 0`).
     fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
-        self.pmu.bump(Event::Instructions);
-        // charge_frontend(1)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 1 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 1;
-        self.meter.charge(cc.store);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
-        // busy_work(1.0) with no fillable shadow → advance(1.0, 0.0)
-        self.busy_cycles += 1.0;
-        self.time_s += cc.one_dt;
-        self.meter.charge_power(cc.bg, cc.one_dt);
-        self.win_active_s += cc.one_dt;
+        self.charge_fused_access(1, self.prices.store[0], &r);
+        self.busy_fast(self.prices.one);
         if let Some(level) = allocated {
             let ix = level_ix(level);
             // Write-allocate fill: movement energy + softened latency.
-            self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-            // advance(0.0, lat / mlp / 2.0)
-            let s = cc.alloc_stall[ix];
-            self.stall_cycles += s;
             self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, s));
-            let dt = cc.alloc_stall_dt[ix];
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+                .charge(self.prices.load[ix][r.dram_row_hit as usize]);
+            self.stall_fast(self.prices.alloc_stall[ix]);
             self.run_cold_batched_lines += 1;
         } else {
             self.run_batched_lines += 1;
@@ -963,7 +871,7 @@ impl Cpu {
     /// `fillable == 0` (stream loads and stores never re-arm it, so it
     /// stays zero for the whole segment), every line ≥ the TCM limit.
     fn cold_segment(&mut self, line: &mut u64, left: &mut u64, write: bool) {
-        self.ensure_cold_charges();
+        self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
         while *left > 0 {
             if write {
@@ -985,8 +893,8 @@ impl Cpu {
     /// as after the recorded run — in particular, every line of the run is
     /// still resident in its recorded way, and replaying the recorded
     /// restamp sequence plus the known-hit charges is the exact outcome the
-    /// scalar loop would produce. The pstate/ifetch flavor is *not* part of
-    /// the key: charges are taken fresh from [`Cpu::run_charges`].
+    /// scalar loop would produce. The operating point is *not* part of the
+    /// key: charges come from the current price table.
     fn try_replay(&mut self, line: u64, lines: u64, write: bool) -> bool {
         if self.replay.is_empty() {
             return false;
@@ -999,11 +907,10 @@ impl Cpu {
         if !hit {
             return false;
         }
-        let f = self.run_charges().flavors[flavor_index(write, false)];
         let e = self.replay[slot].take().expect("checked above");
         self.hier
             .l1_replay_run(e.line, e.write, &e.ways, &mut self.pmu);
-        self.charge_known_run(f, write as u8, lines);
+        self.charge_known_run(write, false, lines);
         self.run_replayed_lines += lines;
         // The replay advanced the stamp by `lines`; the entry stays valid
         // for an immediately following identical run.
@@ -1045,7 +952,7 @@ impl Cpu {
         if dep == Dep::Chase && !write {
             // Chase loads settle and re-arm the shadow per access; the
             // fused walk + hoisted charges replay that exactly.
-            self.ensure_cold_charges();
+            self.ensure_prices();
             let mut ctx = self.hier.cold_ctx();
             while left > 0 {
                 if line < tcm_limit {
@@ -1120,8 +1027,7 @@ impl Cpu {
                 self.hier.l1_hit_run(line, left, write, &mut self.pmu)
             };
             if k > 0 {
-                let f = self.run_charges().flavors[flavor_index(write, false)];
-                self.charge_known_run(f, write as u8, k);
+                self.charge_known_run(write, false, k);
                 self.run_batched_lines += k;
                 line += k * crate::LINE;
                 left -= k;
@@ -1151,7 +1057,7 @@ impl Cpu {
             return;
         }
         let tcm_limit = self.hier.tcm_limit();
-        self.ensure_cold_charges();
+        self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
         for _ in 0..lines {
             if line < tcm_limit || self.fillable > 0.0 {
@@ -1210,8 +1116,7 @@ impl Cpu {
                 rest -= 1;
                 continue;
             }
-            let f = self.run_charges().flavors[flavor_index(write, false)];
-            self.charge_known_run(f, write as u8, rest);
+            self.charge_known_run(write, false, rest);
             self.run_batched_lines += rest;
             return;
         }

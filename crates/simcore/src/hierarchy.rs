@@ -133,6 +133,18 @@ pub struct Hierarchy {
 
 const ROW_SHIFT: u32 = 13;
 
+/// PMU counts of `n` L1D demand hits, as `n` scalar hits bump them.
+#[inline]
+fn count_l1_hits(pmu: &mut Pmu, write: bool, n: u64) {
+    if write {
+        pmu.add(Event::StoreIssued, n);
+        pmu.add(Event::L1dStoreHit, n);
+    } else {
+        pmu.add(Event::LoadIssued, n);
+        pmu.add(Event::L1dLoadHit, n);
+    }
+}
+
 impl Hierarchy {
     /// Build the stack described by `arch`.
     pub fn new(arch: &ArchConfig) -> Self {
@@ -222,15 +234,7 @@ impl Hierarchy {
         pmu: &mut Pmu,
     ) -> u64 {
         let k = self.l1d.access_run(first_line, max_lines, write);
-        if k > 0 {
-            if write {
-                pmu.add(Event::StoreIssued, k);
-                pmu.add(Event::L1dStoreHit, k);
-            } else {
-                pmu.add(Event::LoadIssued, k);
-                pmu.add(Event::L1dLoadHit, k);
-            }
-        }
+        count_l1_hits(pmu, write, k);
         k
     }
 
@@ -248,15 +252,7 @@ impl Hierarchy {
         let k = self
             .l1d
             .access_run_record(first_line, max_lines, write, ways);
-        if k > 0 {
-            if write {
-                pmu.add(Event::StoreIssued, k);
-                pmu.add(Event::L1dStoreHit, k);
-            } else {
-                pmu.add(Event::LoadIssued, k);
-                pmu.add(Event::L1dLoadHit, k);
-            }
-        }
+        count_l1_hits(pmu, write, k);
         k
     }
 
@@ -267,14 +263,7 @@ impl Hierarchy {
     /// determined and this is PMU- and state-identical to the scalar run.
     pub fn l1_replay_run(&mut self, first_line: u64, write: bool, ways: &[u8], pmu: &mut Pmu) {
         self.l1d.replay_run(first_line, write, ways);
-        let n = ways.len() as u64;
-        if write {
-            pmu.add(Event::StoreIssued, n);
-            pmu.add(Event::L1dStoreHit, n);
-        } else {
-            pmu.add(Event::LoadIssued, n);
-            pmu.add(Event::L1dLoadHit, n);
-        }
+        count_l1_hits(pmu, write, ways.len() as u64);
     }
 
     /// Fast path: `n` repeated demand accesses to one resident (non-TCM)
@@ -284,13 +273,7 @@ impl Hierarchy {
         if !self.l1d.access_repeat(line, n, write) {
             return false;
         }
-        if write {
-            pmu.add(Event::StoreIssued, n);
-            pmu.add(Event::L1dStoreHit, n);
-        } else {
-            pmu.add(Event::LoadIssued, n);
-            pmu.add(Event::L1dLoadHit, n);
-        }
+        count_l1_hits(pmu, write, n);
         true
     }
 
@@ -585,16 +568,14 @@ impl Hierarchy {
         pmu.bump(Event::L1dLoadMiss);
         let ln = line / crate::LINE;
 
-        if self.l2.is_none() {
+        let Some(l2) = self.l2.as_mut() else {
             // ARM: straight to DRAM.
             pmu.bump(Event::L3Miss);
             res.dram_row_hit = self.dram_access(line);
             res.level = Some(HitLevel::Mem);
             self.fill_l1_at(line, l1_victim, false, ln, ctx, &mut res, pmu);
             return res;
-        }
-
-        let l2 = self.l2.as_mut().expect("checked above");
+        };
         let l2_victim = match l2.find_or_victim(line) {
             Ok(w) => {
                 l2.touch_way(w, false);
@@ -610,35 +591,8 @@ impl Hierarchy {
         pmu.bump(Event::L2Miss);
         let l2_victim = self.l2_victim_gap_ok.then_some(l2_victim);
         self.prefetch_fused(line, ln, ctx, &mut res, pmu);
-
-        match self.l3.as_ref().map(|c| c.find_or_victim(line)) {
-            Some(Ok(w)) => {
-                self.l3.as_mut().expect("probed").touch_way(w, false);
-                pmu.bump(Event::L3Hit);
-                res.level = Some(HitLevel::L3);
-            }
-            Some(Err(v3)) => {
-                let l3 = self.l3.as_mut().expect("probed");
-                l3.miss_stamp();
-                pmu.bump(Event::L3Miss);
-                res.dram_row_hit = self.dram_access(line);
-                res.level = Some(HitLevel::Mem);
-                // The scalar path drops this Fill (demand L3 fills never
-                // report writebacks) — but the eviction is real, so the
-                // knowledge window must still see it.
-                let f3 = self
-                    .l3
-                    .as_mut()
-                    .expect("probed")
-                    .install_at(line, v3, false, false);
-                ctx.note_fill_l3(ln, &f3);
-            }
-            None => {
-                pmu.bump(Event::L3Miss);
-                res.dram_row_hit = self.dram_access(line);
-                res.level = Some(HitLevel::Mem);
-            }
-        }
+        let level = self.demand_below_l2(line, ln, ctx, &mut res, pmu);
+        res.level = Some(level);
         self.fill_l2_fused(line, false, l2_victim, ln, ctx, &mut res, pmu);
         self.fill_l1_at(line, l1_victim, false, ln, ctx, &mut res, pmu);
         res
@@ -707,34 +661,44 @@ impl Hierarchy {
         };
         l2.miss_stamp();
         pmu.bump(Event::L2Miss);
-        let level = match self.l3.as_ref().map(|c| c.find_or_victim(line)) {
-            Some(Ok(w)) => {
-                self.l3.as_mut().expect("probed").touch_way(w, false);
-                pmu.bump(Event::L3Hit);
-                HitLevel::L3
-            }
-            Some(Err(v3)) => {
-                let l3 = self.l3.as_mut().expect("probed");
-                l3.miss_stamp();
-                pmu.bump(Event::L3Miss);
-                res.dram_row_hit = self.dram_access(line);
-                let f3 = self
-                    .l3
-                    .as_mut()
-                    .expect("probed")
-                    .install_at(line, v3, false, false);
-                ctx.note_fill_l3(ln, &f3);
-                HitLevel::Mem
-            }
-            None => {
-                pmu.bump(Event::L3Miss);
-                res.dram_row_hit = self.dram_access(line);
-                HitLevel::Mem
-            }
-        };
+        let level = self.demand_below_l2(line, ln, ctx, res, pmu);
         self.fill_l2_fused(line, false, Some(l2_victim), ln, ctx, res, pmu);
         self.fill_l1_at(line, l1_victim, true, ln, ctx, res, pmu);
         Some(level)
+    }
+
+    /// The L2-miss stage of both fused demand walks: an L3 lookup, else a
+    /// DRAM access with the line installed into L3 (when there is one).
+    /// Returns the servicing level.
+    #[inline(always)] // per-line hot path; LLVM outlines it otherwise
+    fn demand_below_l2(
+        &mut self,
+        line: u64,
+        ln: u64,
+        ctx: &mut ColdCtx,
+        res: &mut AccessResult,
+        pmu: &mut Pmu,
+    ) -> HitLevel {
+        if let Some(l3) = self.l3.as_mut() {
+            match l3.find_or_victim(line) {
+                Ok(w) => {
+                    l3.touch_way(w, false);
+                    pmu.bump(Event::L3Hit);
+                    return HitLevel::L3;
+                }
+                Err(v3) => {
+                    l3.miss_stamp();
+                    // The scalar path drops this Fill (demand L3 fills never
+                    // report writebacks) — but the eviction is real, so the
+                    // knowledge window must still see it.
+                    let f3 = l3.install_at(line, v3, false, false);
+                    ctx.note_fill_l3(ln, &f3);
+                }
+            }
+        }
+        pmu.bump(Event::L3Miss);
+        res.dram_row_hit = self.dram_access(line);
+        HitLevel::Mem
     }
 
     /// [`Hierarchy::fill_l1`] with the victim way precomputed by the fused
@@ -751,50 +715,18 @@ impl Hierarchy {
         res: &mut AccessResult,
         pmu: &mut Pmu,
     ) {
-        let f = self.l1d.install_at(line, way, dirty, false);
-        if let Some(victim) = f.writeback {
-            res.wb_l1 += 1;
-            pmu.bump(Event::WritebackL1);
-            if self.l2.is_some() {
-                self.ripple_dirty_into_l2(victim, ln, ctx, res, pmu);
-            } else {
-                // No L2 (ARM): dirty L1 victims go straight to DRAM.
-                res.wb_l3 += 1;
-                pmu.bump(Event::WritebackL3);
-                self.dram_access(victim);
+        let Some(victim) = self.l1d.install_at(line, way, dirty, false).writeback else {
+            return;
+        };
+        res.wb_l1 += 1;
+        pmu.bump(Event::WritebackL1);
+        match self.l2.as_mut() {
+            Some(l2) => {
+                let f2 = l2.fill(victim, true, false);
+                self.ripple_l2_fill(f2, ln, ctx, res, pmu);
             }
-        }
-    }
-
-    /// The dirty-L1-victim ripple of [`Hierarchy::fill_l1`], with knowledge
-    /// clamping on every eviction it causes.
-    fn ripple_dirty_into_l2(
-        &mut self,
-        victim: u64,
-        ln: u64,
-        ctx: &mut ColdCtx,
-        res: &mut AccessResult,
-        pmu: &mut Pmu,
-    ) {
-        let l2 = self.l2.as_mut().expect("caller checked");
-        let f2 = l2.fill(victim, true, false);
-        ctx.note_fill_l2(ln, &f2);
-        if let Some(v2) = f2.writeback {
-            res.wb_l2 += 1;
-            pmu.bump(Event::WritebackL2);
-            if let Some(l3) = &mut self.l3 {
-                let f3 = l3.fill(v2, true, false);
-                ctx.note_fill_l3(ln, &f3);
-                if let Some(v3) = f3.writeback {
-                    res.wb_l3 += 1;
-                    pmu.bump(Event::WritebackL3);
-                    self.dram_access(v3);
-                }
-            } else {
-                res.wb_l3 += 1;
-                pmu.bump(Event::WritebackL3);
-                self.dram_access(v2);
-            }
+            // No L2 (ARM): dirty L1 victims go straight to DRAM.
+            None => self.writeback_to_dram(victim, res, pmu),
         }
     }
 
@@ -816,24 +748,42 @@ impl Hierarchy {
             Some(w) => l2.install_at(line, w, false, prefetched),
             None => l2.fill(line, false, prefetched),
         };
+        self.ripple_l2_fill(f, ln, ctx, res, pmu);
+    }
+
+    /// The aftermath of any fused-walk L2 fill, demand or writeback: clamp
+    /// the L2 knowledge window on the eviction, and ripple a dirty victim
+    /// into L3 (clamping that window too) or, without an L3, into DRAM.
+    fn ripple_l2_fill(
+        &mut self,
+        f: Fill,
+        ln: u64,
+        ctx: &mut ColdCtx,
+        res: &mut AccessResult,
+        pmu: &mut Pmu,
+    ) {
         ctx.note_fill_l2(ln, &f);
-        if let Some(victim) = f.writeback {
-            res.wb_l2 += 1;
-            pmu.bump(Event::WritebackL2);
-            if let Some(l3) = &mut self.l3 {
+        let Some(victim) = f.writeback else { return };
+        res.wb_l2 += 1;
+        pmu.bump(Event::WritebackL2);
+        let spill = match self.l3.as_mut() {
+            Some(l3) => {
                 let f3 = l3.fill(victim, true, false);
                 ctx.note_fill_l3(ln, &f3);
-                if let Some(v3) = f3.writeback {
-                    res.wb_l3 += 1;
-                    pmu.bump(Event::WritebackL3);
-                    self.dram_access(v3);
-                }
-            } else {
-                res.wb_l3 += 1;
-                pmu.bump(Event::WritebackL3);
-                self.dram_access(victim);
+                f3.writeback
             }
+            None => Some(victim),
+        };
+        if let Some(v) = spill {
+            self.writeback_to_dram(v, res, pmu);
         }
+    }
+
+    /// A dirty last-level victim written back to DRAM.
+    fn writeback_to_dram(&mut self, victim: u64, res: &mut AccessResult, pmu: &mut Pmu) {
+        res.wb_l3 += 1;
+        pmu.bump(Event::WritebackL3);
+        self.dram_access(victim);
     }
 
     /// [`Hierarchy::run_prefetcher`] for the fused walk: the streamer is
@@ -884,12 +834,7 @@ impl Hierarchy {
                 let l2 = self.l2.as_mut().expect("checked above");
                 match l2.find_or_victim_cold(p2) {
                     Ok(_) => ctx.extend_l2(ln, ln + NEAR),
-                    Err(vw2) => {
-                        self.fill_l2_fused(p2, true, Some(vw2), ln, ctx, res, pmu);
-                        ctx.extend_l2(ln, ln + NEAR);
-                        res.pf_l2 += 1;
-                        pmu.bump(Event::PrefetchL2);
-                    }
+                    Err(vw2) => self.pull_l2(p2, vw2, ln, ctx, res, pmu),
                 }
                 // Far lines: same effect as the general path's far loop. When
                 // `k3` still reads `ln + NEAR + FAR` (the near pull above
@@ -941,46 +886,37 @@ impl Hierarchy {
                 Err(v) => v,
             };
             if !ctx.knows_l3(ln, pn) {
-                match self.l3.as_ref().map(|c| c.find_or_victim(p)) {
-                    Some(Ok(_)) => ctx.extend_l3(ln, pn),
-                    Some(Err(v3)) => {
-                        // Pull DRAM→L3 first: that is an L3 prefetch.
-                        let row_hit = self.dram_access(p);
-                        let f3 = self
-                            .l3
-                            .as_mut()
-                            .expect("probed")
-                            .install_at(p, v3, false, true);
-                        ctx.note_fill_l3(ln, &f3);
-                        ctx.extend_l3(ln, pn);
-                        res.pf_l3 += 1;
-                        if row_hit {
-                            res.pf_l3_row_hits += 1;
-                        }
-                        pmu.bump(Event::PrefetchL3);
-                    }
-                    None => {
-                        let row_hit = self.dram_access(p);
-                        res.pf_l3 += 1;
-                        if row_hit {
-                            res.pf_l3_row_hits += 1;
-                        }
-                        pmu.bump(Event::PrefetchL3);
-                    }
-                }
+                let found = self.l3.as_ref().map(|c| c.find_or_victim(p));
+                self.pull_l3(p, found, ln, ctx, res, pmu);
             }
             // The pull target is absent in L2 and nothing since the scan
             // touched its set (the L3 pull is a different level): install at
             // the precomputed victim.
-            self.fill_l2_fused(p, true, Some(vw2), ln, ctx, res, pmu);
-            ctx.extend_l2(ln, pn);
-            res.pf_l2 += 1;
-            pmu.bump(Event::PrefetchL2);
+            self.pull_l2(p, vw2, ln, ctx, res, pmu);
         }
         // Far lines: into L3 only.
         for &p in proposals.l3() {
             self.pull_far(p, ln, ctx, res, pmu);
         }
+    }
+
+    /// One near-window prefetch pull into L2 at the victim way `vw2` found
+    /// by the caller's scan (the target is absent and its set untouched
+    /// since).
+    #[inline(always)] // per-line hot path; LLVM outlines it otherwise
+    fn pull_l2(
+        &mut self,
+        p: u64,
+        vw2: usize,
+        ln: u64,
+        ctx: &mut ColdCtx,
+        res: &mut AccessResult,
+        pmu: &mut Pmu,
+    ) {
+        self.fill_l2_fused(p, true, Some(vw2), ln, ctx, res, pmu);
+        ctx.extend_l2(ln, p / crate::LINE);
+        res.pf_l2 += 1;
+        pmu.bump(Event::PrefetchL2);
     }
 
     /// One far-window prefetch pull (into L3 only): the body of the far loop
@@ -1001,32 +937,39 @@ impl Hierarchy {
             ctx.extend_l2(ln, pn);
             return;
         }
-        match self.l3.as_ref().map(|c| c.find_or_victim_cold(p)) {
-            Some(Ok(_)) => ctx.extend_l3(ln, pn),
-            Some(Err(v3)) => {
-                let row_hit = self.dram_access(p);
-                let f3 = self
-                    .l3
-                    .as_mut()
-                    .expect("probed")
-                    .install_at(p, v3, false, true);
-                ctx.note_fill_l3(ln, &f3);
-                ctx.extend_l3(ln, pn);
-                res.pf_l3 += 1;
-                if row_hit {
-                    res.pf_l3_row_hits += 1;
-                }
-                pmu.bump(Event::PrefetchL3);
-            }
-            None => {
-                let row_hit = self.dram_access(p);
-                res.pf_l3 += 1;
-                if row_hit {
-                    res.pf_l3_row_hits += 1;
-                }
-                pmu.bump(Event::PrefetchL3);
-            }
+        let found = self.l3.as_ref().map(|c| c.find_or_victim_cold(p));
+        self.pull_l3(p, found, ln, ctx, res, pmu);
+    }
+
+    /// The DRAM→L3 stage of a prefetch pull, given the target's L3 lookup
+    /// (`None` without an L3): an L3 hit only extends the L3 window;
+    /// otherwise the line is read from DRAM, installed at the looked-up
+    /// victim, and counted as an L3 prefetch.
+    #[inline(always)] // per-line hot path; LLVM outlines it otherwise
+    fn pull_l3(
+        &mut self,
+        p: u64,
+        found: Option<Result<usize, usize>>,
+        ln: u64,
+        ctx: &mut ColdCtx,
+        res: &mut AccessResult,
+        pmu: &mut Pmu,
+    ) {
+        let pn = p / crate::LINE;
+        if matches!(found, Some(Ok(_))) {
+            ctx.extend_l3(ln, pn);
+            return;
         }
+        let row_hit = self.dram_access(p);
+        if let Some(Err(v3)) = found {
+            let l3 = self.l3.as_mut().expect("looked up");
+            let f3 = l3.install_at(p, v3, false, true);
+            ctx.note_fill_l3(ln, &f3);
+            ctx.extend_l3(ln, pn);
+        }
+        res.pf_l3 += 1;
+        res.pf_l3_row_hits += row_hit as u32;
+        pmu.bump(Event::PrefetchL3);
     }
 
     /// Latency in cycles of a load serviced at `level`, at frequency `hz`.
