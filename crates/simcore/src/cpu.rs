@@ -120,6 +120,52 @@ struct StallStep {
     dt: f64,
 }
 
+/// How far the fast paths may run before the next governor-window edge or
+/// sampler tick (see [`Cpu::budget`]).
+///
+/// Between edges, `pass_time` only accumulates — clock, energy, the
+/// governor window's and the sampler window's active time — and the fast
+/// steps replay those additions operand for operand. Simulated time only
+/// grows, and both edge tests are monotone in the clock, so a run of fast
+/// accesses whose *final* clock stays below `edge` never skipped a governor
+/// tick or a sample. An access that may reach an edge takes the scalar
+/// step instead, which ticks the governor and emits the sample exactly as
+/// the scalar loop would.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    /// Every clock value below this is provably before the next edge;
+    /// `INFINITY` with neither the governor nor a sampler active.
+    edge: f64,
+    /// Rounding allowance per access: a step adds to the clock at most
+    /// four times (a copied line), each rounding by at most half an ulp of
+    /// `edge`.
+    margin: f64,
+}
+
+impl Budget {
+    /// How many accesses of at most `per_s` simulated seconds each
+    /// provably end before the edge, starting at clock `now`.
+    fn lines(&self, now: f64, per_s: f64) -> u64 {
+        if self.edge == f64::INFINITY {
+            return u64::MAX;
+        }
+        let per = per_s * (1.0 + 1e-9) + self.margin;
+        let left = self.edge - now;
+        if left > per {
+            (left / per) as u64
+        } else {
+            0
+        }
+    }
+
+    /// Whether one access of at most `per_s` simulated seconds, starting
+    /// at clock `now`, provably ends before the edge.
+    #[inline]
+    fn fits(&self, now: f64, per_s: f64) -> bool {
+        self.edge == f64::INFINITY || now + per_s * (1.0 + 1e-9) + self.margin < self.edge
+    }
+}
+
 /// The per-access charge constants of every fast path — hot batches,
 /// replay, repeats and the fused cold-run/chase steps — at one
 /// `(pstate, ifetch_discount)` operating point. Every field holds the
@@ -162,6 +208,21 @@ struct Prices {
     issue: BusyStep,
     /// One busy cycle: a store, or a chase load's `advance(1, 0)`.
     one: BusyStep,
+    /// Upper bound on the simulated seconds of one fused stream load or
+    /// store: one busy cycle plus the longest stream stall (DRAM's).
+    stream_step_s: f64,
+}
+
+impl Prices {
+    /// The busy step of one known L1D/TCM hit.
+    #[inline]
+    fn hot_step(&self, write: bool) -> BusyStep {
+        if write {
+            self.one
+        } else {
+            self.issue
+        }
+    }
 }
 
 /// Replay-cache slots (direct-mapped).
@@ -651,6 +712,8 @@ impl Cpu {
             chase_pending[ix] = (lat - 1.0).max(0.0);
             chase_fillable[ix] = chase_pending[ix].min(self.arch.ooo_fill_cycles);
         }
+        let one = busy(1.0);
+        let stream_step_s = one.dt + stream_stall.iter().map(|s| s.dt).fold(0.0, f64::max);
         Prices {
             at: Some((self.pstate, self.ifetch_discount)),
             hz,
@@ -678,13 +741,53 @@ impl Cpu {
             chase_pending,
             chase_fillable,
             issue: busy(1.0 / self.arch.load_issue_width),
-            one: busy(1.0),
+            one,
+            stream_step_s,
         }
+    }
+
+    /// The fast paths' time budget from the current clock (see [`Budget`]).
+    fn budget(&self) -> Budget {
+        let mut edge = f64::INFINITY;
+        if self.governor_on {
+            // `tick_governor` fires once `time_s - win_start_s >=
+            // interval_s`. A clock four ulps below the rounded window end
+            // cannot satisfy that, however either side rounds.
+            let end = self.win_start_s + self.governor.interval_s;
+            edge = end - end * 4.0 * f64::EPSILON;
+        }
+        if let Some(s) = &self.sampler {
+            edge = edge.min(s.next_tick());
+        }
+        Budget {
+            edge,
+            margin: edge * 4.0 * f64::EPSILON,
+        }
+    }
+
+    /// Re-sync a fast-path loop after a scalar step: the step may have
+    /// ticked the governor (a new P-state, so new prices) or emitted a
+    /// sample (a new next tick), and its hierarchy walk may have evicted
+    /// lines inside `ctx`'s proven-resident windows.
+    fn resync(&mut self, ctx: &mut ColdCtx) -> Budget {
+        self.ensure_prices();
+        *ctx = self.hier.cold_ctx();
+        self.budget()
+    }
+
+    /// How many known L1D/TCM hits provably end before the next edge (all
+    /// of them with neither governor nor sampler active). Prices must be
+    /// ensured.
+    fn hits_before_edge(&self, write: bool) -> u64 {
+        self.budget()
+            .lines(self.time_s, self.prices.hot_step(write).dt)
     }
 
     // The fast-path charge pieces below replay the scalar timing/energy
     // helpers with operands from the price table. Preconditions (enforced
-    // by callers): governor off, no sampler, prices ensured.
+    // by callers): prices ensured, and the access provably ends before the
+    // next governor-window edge or sampler tick (see `Budget`), so
+    // `pass_time` would only have accumulated.
 
     /// `charge_frontend(class)`.
     #[inline]
@@ -696,13 +799,21 @@ impl Cpu {
         self.last_class = class;
     }
 
-    /// `advance(step.cycles, 0.0)`.
+    /// `advance(step.cycles, 0.0)`, less the sampler credit: hot batches
+    /// add it after their loop, fused steps through [`Cpu::busy_fused`].
     #[inline]
     fn busy_fast(&mut self, step: BusyStep) {
         self.busy_cycles += step.cycles;
         self.time_s += step.dt;
         self.meter.charge(step.bg_nj);
         self.win_active_s += step.dt;
+    }
+
+    /// `advance(step.cycles, 0.0)`.
+    #[inline]
+    fn busy_fused(&mut self, step: BusyStep) {
+        self.busy_fast(step);
+        self.credit_sampler(step.dt, 1);
     }
 
     /// `advance(0.0, step.cycles)`.
@@ -716,6 +827,19 @@ impl Cpu {
         self.time_s += step.dt;
         self.meter.charge_power(self.prices.bg, step.dt);
         self.win_active_s += step.dt;
+        self.credit_sampler(step.dt, 1);
+    }
+
+    /// The sampler's share of `pass_time` for `n` active steps of `dt`
+    /// seconds, in order: below its next tick, all an attached sampler's
+    /// `advance` does is add `dt` to the window's active time.
+    #[inline]
+    fn credit_sampler(&mut self, dt: f64, n: u64) {
+        if let Some(s) = &mut self.sampler {
+            for _ in 0..n {
+                s.credit_active(dt);
+            }
+        }
     }
 
     /// The charges every fused step opens with, in scalar order: the
@@ -749,21 +873,24 @@ impl Cpu {
     /// This replays, per access, the exact f64 additions of the scalar path
     /// — fetch, optional decode switch, hit price, busy cycles, wall time,
     /// background energy, governor-window credit — with every operand
-    /// precomputed. Because each operand is the identical f64 the scalar
-    /// path would have produced and the additions run in the same order,
-    /// the accumulators end bit-identical; only per-access *lookups* are
-    /// hoisted, never the arithmetic.
+    /// precomputed, then the `k` sampler credits. Because each operand is
+    /// the identical f64 the scalar path would have produced and each
+    /// accumulator sees its additions in the same order, the accumulators
+    /// end bit-identical; only per-access *lookups* are hoisted, never the
+    /// arithmetic.
     ///
-    /// Preconditions (enforced by callers): governor off, no sampler, no
-    /// fillable chase shadow, every access a known L1D/TCM hit.
+    /// Preconditions (enforced by callers): no fillable chase shadow, every
+    /// access a known L1D/TCM hit, and all `k` end before the next
+    /// governor-window edge or sampler tick ([`Budget::lines`]).
     fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
         self.ensure_prices();
         let p = &self.prices;
-        let (price, step) = if write {
-            (p.store[tcm as usize], p.one)
+        let step = p.hot_step(write);
+        let price = if write {
+            p.store[tcm as usize]
         } else {
             let level = if tcm { HitLevel::Tcm } else { HitLevel::L1d };
-            (p.load[level_ix(level)][0], p.issue)
+            p.load[level_ix(level)][0]
         };
         let class = write as u8;
         self.pmu.add(Event::Instructions, k);
@@ -772,6 +899,7 @@ impl Cpu {
             self.meter.charge(price);
             self.busy_fast(step);
         }
+        self.credit_sampler(step.dt, k);
     }
 
     /// Charge `k` TCM accesses (always hits; no cache or DRAM state).
@@ -785,7 +913,9 @@ impl Cpu {
         self.charge_known_run(write, true, k);
     }
 
-    /// Route one access through the full scalar path (fallback bookkeeping).
+    /// Route one access through the full scalar path (fallback bookkeeping)
+    /// — the step a run verb takes for an access that may reach a
+    /// governor-window edge or sampler tick, or that no fast regime covers.
     #[inline]
     fn scalar_step(&mut self, line: u64, write: bool, dep: Dep) {
         self.run_fallbacks += 1;
@@ -816,7 +946,7 @@ impl Cpu {
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
-        self.busy_fast(self.prices.one);
+        self.busy_fused(self.prices.one);
         // Re-arm the shadow.
         self.pending = self.prices.chase_pending[ix];
         self.fillable = self.prices.chase_fillable[ix];
@@ -835,7 +965,7 @@ impl Cpu {
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
-        self.busy_fast(self.prices.issue);
+        self.busy_fused(self.prices.issue);
         if matches!(level, HitLevel::L1d) {
             self.run_batched_lines += 1;
         } else {
@@ -851,7 +981,7 @@ impl Cpu {
     fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
         self.charge_fused_access(1, self.prices.store[0], &r);
-        self.busy_fast(self.prices.one);
+        self.busy_fused(self.prices.one);
         if let Some(level) = allocated {
             let ix = level_ix(level);
             // Write-allocate fill: movement energy + softened latency.
@@ -867,14 +997,19 @@ impl Cpu {
     /// Consume the rest of a run through the fused cold walk, starting at a
     /// known L1D miss. Hits interleaved in the tail take the same fused
     /// steps (charged as batched lines); misses are bulk-charged
-    /// (cold-batched lines). Preconditions: governor off, no sampler,
-    /// `fillable == 0` (stream loads and stores never re-arm it, so it
-    /// stays zero for the whole segment), every line ≥ the TCM limit.
+    /// (cold-batched lines). A line that may reach a governor-window edge
+    /// or sampler tick takes the scalar step. Preconditions: `fillable ==
+    /// 0` (stream loads and stores never re-arm it, so it stays zero for
+    /// the whole segment), every line ≥ the TCM limit.
     fn cold_segment(&mut self, line: &mut u64, left: &mut u64, write: bool) {
         self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
+        let mut budget = self.budget();
         while *left > 0 {
-            if write {
+            if !budget.fits(self.time_s, self.prices.stream_step_s) {
+                self.scalar_step(*line, write, Dep::Stream);
+                budget = self.resync(&mut ctx);
+            } else if write {
                 self.store_step_fast(*line, &mut ctx);
             } else {
                 self.stream_step_fast(*line, &mut ctx);
@@ -930,17 +1065,20 @@ impl Cpu {
     /// single-pass hierarchy walk with hoisted charges (bulk
     /// miss-charging); and runs whose L1D fingerprint proves them identical
     /// to a previously recorded run replay the memoized restamp/charge
-    /// sequence outright. The scalar [`Cpu::load`]/[`Cpu::store`] path
-    /// remains for anything that can observe per-access time: governor
-    /// enabled, a timeline sampler attached, an unfilled chase shadow, TCM
-    /// boundaries, or the fast path disabled via [`set_fastpath`]. For any
-    /// access sequence the PMU counters, RAPL joules and timeline cycles
-    /// are bit-identical to issuing the same accesses one at a time.
+    /// sequence outright. With the governor on or a timeline sampler
+    /// attached, every regime runs only as far as its accesses provably end
+    /// before the next governor-window edge or sampler tick (DESIGN.md §9,
+    /// "Time budget"); the access that may reach the edge takes the scalar
+    /// [`Cpu::load`]/[`Cpu::store`] step, as do accesses under an unfilled
+    /// chase shadow, TCM lines of a chase run, and every access with the
+    /// fast path disabled via [`set_fastpath`]. For any access sequence the
+    /// PMU counters, RAPL joules, timeline cycles, governor P-states and
+    /// timeline samples are bit-identical to issuing the same accesses one
+    /// at a time.
     pub fn access_run(&mut self, addr: u64, lines: u64, write: bool, dep: Dep) {
         let mut line = addr & !(crate::LINE - 1);
         let mut left = lines;
-        if self.governor_on || self.sampler.is_some() || !fastpath_enabled() {
-            // Governor/sampler observe per-access time: stay fully scalar.
+        if !fastpath_enabled() {
             while left > 0 {
                 self.scalar_step(line, write, dep);
                 line += crate::LINE;
@@ -949,16 +1087,21 @@ impl Cpu {
             return;
         }
         let tcm_limit = self.hier.tcm_limit();
+        self.ensure_prices();
         if dep == Dep::Chase && !write {
             // Chase loads settle and re-arm the shadow per access; the
-            // fused walk + hoisted charges replay that exactly.
-            self.ensure_prices();
+            // fused walk + hoisted charges replay that exactly. A chase
+            // step's time is known before it runs: the shadow it settles
+            // plus one busy cycle.
             let mut ctx = self.hier.cold_ctx();
+            let mut budget = self.budget();
             while left > 0 {
-                if line < tcm_limit {
-                    self.scalar_step(line, write, dep);
-                } else {
+                let step_s = self.pending / self.prices.hz + self.prices.one.dt;
+                if line >= tcm_limit && budget.fits(self.time_s, step_s) {
                     self.chase_step_fast(line, &mut ctx);
+                } else {
+                    self.scalar_step(line, write, dep);
+                    budget = self.resync(&mut ctx);
                 }
                 line += crate::LINE;
                 left -= 1;
@@ -967,25 +1110,33 @@ impl Cpu {
         }
         // Stream machinery (stores ignore `dep`, so write+chase runs land
         // here too). A run that starts with no fillable shadow, stays above
-        // the TCM limit and has a memoizable length is a replay candidate.
+        // the TCM limit and has a memoizable length is a replay candidate;
+        // it replays only if the whole run fits in the time budget.
         let mut record = self.fillable == 0.0
             && line >= tcm_limit
             && (REPLAY_MIN_LINES..=REPLAY_MAX_LINES).contains(&lines);
-        if record && self.try_replay(line, lines, write) {
+        if record && self.hits_before_edge(write) >= lines && self.try_replay(line, lines, write) {
             return;
         }
         while left > 0 {
-            if self.fillable > 0.0 {
-                // A prior chase load left a fillable shadow; scalar steps
-                // drain it (each consumes busy-overlap), then batching can
-                // resume.
+            self.ensure_prices();
+            let cap = if self.fillable > 0.0 {
+                0
+            } else {
+                self.hits_before_edge(write).min(left)
+            };
+            if cap == 0 {
+                // A prior chase load left a fillable shadow (scalar steps
+                // drain it, each consuming busy overlap), or the next
+                // access may reach an edge: one scalar step, then batching
+                // resumes.
                 self.scalar_step(line, write, dep);
                 line += crate::LINE;
                 left -= 1;
                 continue;
             }
             if line < tcm_limit {
-                let k = (tcm_limit - line).div_ceil(crate::LINE).min(left);
+                let k = (tcm_limit - line).div_ceil(crate::LINE).min(cap);
                 self.charge_tcm_run(write, k);
                 self.run_batched_lines += k;
                 line += k * crate::LINE;
@@ -1002,7 +1153,7 @@ impl Cpu {
                 ways.clear();
                 let k = self
                     .hier
-                    .l1_hit_run_record(line, left, write, &mut self.pmu, &mut ways);
+                    .l1_hit_run_record(line, cap, write, &mut self.pmu, &mut ways);
                 if k == lines {
                     if self.replay.is_empty() {
                         self.replay.resize_with(REPLAY_SLOTS, || None);
@@ -1024,7 +1175,7 @@ impl Cpu {
                 }
                 k
             } else {
-                self.hier.l1_hit_run(line, left, write, &mut self.pmu)
+                self.hier.l1_hit_run(line, cap, write, &mut self.pmu)
             };
             if k > 0 {
                 self.charge_known_run(write, false, k);
@@ -1035,9 +1186,11 @@ impl Cpu {
                     break;
                 }
             }
-            // The next line is a known L1D miss: bulk-charge the rest of
-            // the run through the fused cold walk.
-            self.cold_segment(&mut line, &mut left, write);
+            if k < cap {
+                // The next line is a known L1D miss: bulk-charge the rest
+                // of the run through the fused cold walk.
+                self.cold_segment(&mut line, &mut left, write);
+            }
         }
     }
 
@@ -1045,10 +1198,11 @@ impl Cpu {
     /// line one stream load followed by one store, as LSM/buffer-pool block
     /// moves issue them. Bit-identical to the scalar alternation
     /// `load(line, Stream); store(line)` per line; the fused walk handles
-    /// both cold and warm lines in one pass.
+    /// both cold and warm lines in one pass. A line whose pair may reach a
+    /// governor-window edge or sampler tick takes the scalar pair.
     pub fn copy_run(&mut self, addr: u64, lines: u64) {
         let mut line = addr & !(crate::LINE - 1);
-        if self.governor_on || self.sampler.is_some() || !fastpath_enabled() {
+        if !fastpath_enabled() {
             for _ in 0..lines {
                 self.scalar_step(line, false, Dep::Stream);
                 self.scalar_step(line, true, Dep::Stream);
@@ -1059,13 +1213,18 @@ impl Cpu {
         let tcm_limit = self.hier.tcm_limit();
         self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
+        let mut budget = self.budget();
         for _ in 0..lines {
-            if line < tcm_limit || self.fillable > 0.0 {
-                self.scalar_step(line, false, Dep::Stream);
-                self.scalar_step(line, true, Dep::Stream);
-            } else {
+            if line >= tcm_limit
+                && self.fillable == 0.0
+                && budget.fits(self.time_s, 2.0 * self.prices.stream_step_s)
+            {
                 self.stream_step_fast(line, &mut ctx);
                 self.store_step_fast(line, &mut ctx);
+            } else {
+                self.scalar_step(line, false, Dep::Stream);
+                self.scalar_step(line, true, Dep::Stream);
+                budget = self.resync(&mut ctx);
             }
             line += crate::LINE;
         }
@@ -1094,31 +1253,33 @@ impl Cpu {
         }
         let mut rest = n - 1;
         while rest > 0 {
-            if self.governor_on
-                || self.sampler.is_some()
-                || self.fillable > 0.0
-                || !fastpath_enabled()
-            {
+            let k = if self.fillable > 0.0 || !fastpath_enabled() {
+                0
+            } else {
+                self.ensure_prices();
+                self.hits_before_edge(write).min(rest)
+            };
+            if k == 0 {
                 self.scalar_step(addr, write, Dep::Stream);
                 rest -= 1;
                 continue;
             }
             if addr < self.hier.tcm_limit() {
-                self.charge_tcm_run(write, rest);
-                self.run_batched_lines += rest;
-                return;
-            }
-            let line = addr & !(crate::LINE - 1);
-            if !self.hier.l1_repeat(line, rest, write, &mut self.pmu) {
+                self.charge_tcm_run(write, k);
+            } else if self
+                .hier
+                .l1_repeat(addr & !(crate::LINE - 1), k, write, &mut self.pmu)
+            {
+                self.charge_known_run(write, false, k);
+            } else {
                 // Not resident (cannot happen right after the first access,
                 // but keeps the fallback total): scalar-step and re-probe.
                 self.scalar_step(addr, write, Dep::Stream);
                 rest -= 1;
                 continue;
             }
-            self.charge_known_run(write, false, rest);
-            self.run_batched_lines += rest;
-            return;
+            self.run_batched_lines += k;
+            rest -= k;
         }
     }
 
@@ -1620,28 +1781,57 @@ mod tests {
     }
 
     #[test]
-    fn access_run_falls_back_under_governor_and_sampler() {
-        let drive = |batched: bool| -> Measurement {
-            let mut c = cpu();
+    fn governed_and_sampled_rescans_stay_on_the_fast_path() {
+        // Fig. 5's settings: 15 µs governor window, 10 µs sampler, prefetch
+        // on. Batches must split only at the edges — a return to all-scalar
+        // would stay bit-identical but give up the speedup.
+        const PASSES: u64 = 1000;
+        let drive = |batched: bool| -> (Measurement, Cpu) {
+            let mut c = Cpu::new(ArchConfig::intel_i7_4790());
+            c.set_prefetch(true);
             let r = c.alloc(16 * 1024).unwrap();
             for i in 0..256u64 {
                 c.load(r.addr + i * 64, Dep::Stream);
             }
             c.set_governor(true);
-            c.attach_sampler(1e-6);
+            c.set_governor_interval(15e-6);
+            c.attach_sampler(10e-6);
             let t = c.begin_measure();
-            if batched {
-                c.access_run(r.addr, 256, false, Dep::Stream);
-            } else {
-                for i in 0..256u64 {
-                    c.load(r.addr + i * 64, Dep::Stream);
+            for _ in 0..PASSES {
+                if batched {
+                    c.access_run(r.addr, 256, false, Dep::Stream);
+                    c.access_run(r.addr, 256, true, Dep::Stream);
+                } else {
+                    for i in 0..256u64 {
+                        c.load(r.addr + i * 64, Dep::Stream);
+                    }
+                    for i in 0..256u64 {
+                        c.store(r.addr + i * 64);
+                    }
                 }
             }
-            c.end_measure(t)
+            (c.end_measure(t), c)
         };
-        let ma = drive(false);
-        let mb = drive(true);
+        let (ma, mut a) = drive(false);
+        let (mb, mut b) = drive(true);
         assert_identical(&ma, &mb);
+        assert_eq!(a.pstate(), b.pstate());
+        let (sa, sb) = (a.take_sampler().unwrap(), b.take_sampler().unwrap());
+        assert!(sa.samples.len() >= 10, "the run must cross sampler ticks");
+        assert_eq!(sa.samples.len(), sb.samples.len());
+        for (x, y) in sa.samples.iter().zip(&sb.samples) {
+            assert_eq!(x.t_s.to_bits(), y.t_s.to_bits());
+            assert_eq!(x.pstate, y.pstate);
+            assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
+            assert_eq!(x.rapl.total_j().to_bits(), y.rapl.total_j().to_bits());
+        }
+        let st = b.run_stats();
+        let lines = PASSES * 512;
+        assert_eq!(st.batched_lines + st.replayed_lines + st.fallbacks, lines);
+        assert!(
+            st.fallbacks * 100 < lines,
+            "only edge-crossing accesses may take the scalar path ({st:?})"
+        );
     }
 
     #[test]

@@ -53,9 +53,9 @@ impl TimelineSampler {
         rapl: RaplReading,
     ) {
         if active {
-            self.window_active_s += dt;
+            self.credit_active(dt);
         }
-        while now >= self.next_t - 1e-12 {
+        while now >= self.next_tick() {
             let util = (self.window_active_s / self.interval_s).clamp(0.0, 1.0);
             self.samples.push(TimelineSample {
                 t_s: self.next_t,
@@ -66,6 +66,20 @@ impl TimelineSampler {
             self.window_active_s = 0.0;
             self.next_t += self.interval_s;
         }
+    }
+
+    /// The earliest clock value at which [`TimelineSampler::advance`] emits
+    /// a sample: below it, an advance only credits active time.
+    pub(crate) fn next_tick(&self) -> f64 {
+        self.next_t - 1e-12
+    }
+
+    /// Credit `dt` seconds of non-idle time to the current window — all an
+    /// active [`TimelineSampler::advance`] does while the clock stays below
+    /// [`TimelineSampler::next_tick`].
+    #[inline]
+    pub(crate) fn credit_active(&mut self, dt: f64) {
+        self.window_active_s += dt;
     }
 
     /// Fraction of samples at the given P-state (Fig. 5's x-axis quantity).

@@ -11,10 +11,17 @@
 //! historically broken "fast path equals slow path" claims: set-conflict
 //! strides that evict mid-run, cold runs crossing DRAM row boundaries with
 //! the prefetcher on, runs straddling the TCM window on the ARM part,
-//! chase shadows draining into a run, P-state changes between runs, and the
-//! governor/sampler modes where batching must disable itself entirely.
+//! chase shadows draining into a run, and P-state changes between runs.
+//!
+//! With the EIST governor on or a timeline sampler attached, batching runs
+//! only up to the next governor-window edge or sampler tick, and the access
+//! that may reach it takes the scalar step. The edge traces put an edge
+//! inside every fast regime — hot batch, replay, repeat, fused cold segment,
+//! chase step, copy — and `check` then also compares every timeline sample
+//! and the final P-state bit for bit, so a governor tick or sample taken one
+//! access late fails the test.
 
-use simcore::{ArchConfig, Cpu, Dep, ExecOp, Measurement, PState, LINE};
+use simcore::{ArchConfig, Cpu, Dep, ExecOp, Measurement, PState, RunStats, TimelineSample, LINE};
 
 /// xorshift64* — deterministic, no external dependency.
 struct Rng(u64);
@@ -65,8 +72,16 @@ enum Op {
     Store {
         addr: u64,
     },
+    /// A line-granular copy (`Cpu::copy_run`) of `lines` lines from `addr`.
+    Copy {
+        addr: u64,
+        lines: u64,
+    },
     Exec(ExecOp),
     SetPstate(u8),
+    /// C0 idle for the given seconds: with the governor on, a long gap
+    /// decays the P-state, and the following work ramps it back.
+    Idle(f64),
 }
 
 /// Replay through the scalar verbs only (the reference semantics).
@@ -97,10 +112,18 @@ fn replay_scalar(cpu: &mut Cpu, ops: &[Op]) {
                     }
                 }
             }
+            Op::Copy { addr, lines } => {
+                let base = addr & !(LINE - 1);
+                for i in 0..lines {
+                    cpu.load(base + i * LINE, Dep::Stream);
+                    cpu.store(base + i * LINE);
+                }
+            }
             Op::Load { addr, dep } => cpu.load(addr, dep),
             Op::Store { addr } => cpu.store(addr),
             Op::Exec(op) => cpu.exec(op),
             Op::SetPstate(n) => cpu.set_pstate(PState(n)),
+            Op::Idle(s) => cpu.idle_c0(s),
         }
     }
 }
@@ -122,10 +145,12 @@ fn replay_batched(cpu: &mut Cpu, ops: &[Op]) {
                     cpu.load_repeat(addr, n);
                 }
             }
+            Op::Copy { addr, lines } => cpu.copy_run(addr, lines),
             Op::Load { addr, dep } => cpu.load(addr, dep),
             Op::Store { addr } => cpu.store(addr),
             Op::Exec(op) => cpu.exec(op),
             Op::SetPstate(n) => cpu.set_pstate(PState(n)),
+            Op::Idle(s) => cpu.idle_c0(s),
         }
     }
 }
@@ -148,9 +173,33 @@ fn assert_identical(scalar: &Measurement, batched: &Measurement, what: &str) {
     }
 }
 
-/// Run `ops` on two identically-configured CPUs and demand bit equality.
-/// `setup` runs on both before the measured window (knobs, warming).
-fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &str) {
+/// Bitwise equality of two timelines: every sample's time, P-state,
+/// utilization and cumulative RAPL reading.
+fn assert_same_samples(scalar: &[TimelineSample], batched: &[TimelineSample], what: &str) {
+    assert_eq!(scalar.len(), batched.len(), "{what}: sample count diverged");
+    for (i, (a, b)) in scalar.iter().zip(batched).enumerate() {
+        assert_eq!(a.pstate, b.pstate, "{what}: sample {i} P-state diverged");
+        for (name, x, y) in [
+            ("t_s", a.t_s, b.t_s),
+            ("utilization", a.utilization, b.utilization),
+            ("core_j", a.rapl.core_j, b.rapl.core_j),
+            ("package_j", a.rapl.package_j, b.rapl.package_j),
+            ("memory_j", a.rapl.memory_j, b.rapl.memory_j),
+        ] {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: sample {i} {name} diverged ({x} vs {y})"
+            );
+        }
+    }
+}
+
+/// Run `ops` on two identically-configured CPUs and demand bit equality of
+/// the measurement, the final P-state and the timeline samples (when
+/// `setup` attached a sampler). `setup` runs on both before the measured
+/// window (knobs, warming). Returns the batched CPU's fast-path counters.
+fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &str) -> RunStats {
     let mut scalar_cpu = Cpu::new(arch());
     let mut batched_cpu = Cpu::new(arch());
     scalar_cpu.alloc(1 << 21).unwrap();
@@ -160,6 +209,17 @@ fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &
     let scalar = scalar_cpu.measure(|c| replay_scalar(c, ops));
     let batched = batched_cpu.measure(|c| replay_batched(c, ops));
     assert_identical(&scalar, &batched, what);
+    assert_eq!(
+        scalar_cpu.pstate(),
+        batched_cpu.pstate(),
+        "{what}: final P-state diverged"
+    );
+    match (scalar_cpu.take_sampler(), batched_cpu.take_sampler()) {
+        (Some(a), Some(b)) => assert_same_samples(&a.samples, &b.samples, what),
+        (None, None) => {}
+        _ => unreachable!("both CPUs ran the same setup"),
+    }
+    batched_cpu.run_stats()
 }
 
 /// A randomized mix of runs, repeats, scalar accesses, exec ops and
@@ -336,11 +396,10 @@ fn chase_shadow_drains_into_run_identically() {
     );
 }
 
-#[test]
-fn tcm_straddling_runs_on_arm_are_identical() {
-    // ARM1176: addresses 0..32768 are the data TCM. Runs that start inside
-    // the window and extend past it must split TCM-batch / cache-scalar at
-    // exactly the boundary.
+/// ARM1176: addresses 0..32768 are the data TCM. Runs that start inside
+/// the window and extend past it must split TCM-batch / cache-scalar at
+/// exactly the boundary.
+fn tcm_straddle_trace() -> Vec<Op> {
     let tcm_end: u64 = 32 * 1024;
     let mut ops = vec![
         Op::Run {
@@ -386,13 +445,37 @@ fn tcm_straddling_runs_on_arm_are_identical() {
             },
         });
     }
-    check(ArchConfig::arm1176jzf_s, |_| {}, &ops, "TCM straddle");
+    ops
+}
+
+#[test]
+fn tcm_straddling_runs_on_arm_are_identical() {
+    check(
+        ArchConfig::arm1176jzf_s,
+        |_| {},
+        &tcm_straddle_trace(),
+        "TCM straddle",
+    );
+}
+
+#[test]
+fn tcm_straddle_with_governor_on_arm_is_identical() {
+    // The ARM part runs pinned at P7 (700 MHz), but the governor still
+    // closes a window every 70 cycles and the sampler ticks every 35: edges
+    // land inside TCM batches, cache-side batches and repeats alike.
+    let st = check(
+        ArchConfig::arm1176jzf_s,
+        edges(1e-7, 5e-8, false),
+        &tcm_straddle_trace(),
+        "TCM straddle, governor + sampler",
+    );
+    assert_split(st.batched_lines, st, "TCM straddle, governor + sampler");
 }
 
 #[test]
 fn governor_and_sampler_modes_stay_identical() {
-    // With the EIST governor or a timeline sampler active, the fast path
-    // must disable itself wholesale — both observe per-access time.
+    // The default 1 ms governor window and a 10 µs sampler: batches split
+    // at the few edges the trace crosses.
     let ops = random_trace(0x60_5e_44, 300);
     check(
         ArchConfig::intel_i7_4790,
@@ -416,6 +499,271 @@ fn governor_and_sampler_modes_stay_identical() {
         &ops,
         "governor + sampler + prefetch",
     );
+}
+
+/// Edge-trace setup: the governor on with a `governor_s` window, a sampler
+/// ticking every `sampler_s`, and the prefetcher as given. Intervals of a
+/// few dozen to a few hundred cycles put edges inside nearly every batch.
+fn edges(governor_s: f64, sampler_s: f64, prefetch: bool) -> impl Fn(&mut Cpu) {
+    move |c: &mut Cpu| {
+        c.set_prefetch(prefetch);
+        c.set_governor(true);
+        c.set_governor_interval(governor_s);
+        c.attach_sampler(sampler_s);
+    }
+}
+
+/// An edge trace must exercise both sides of the split: `fast` lines went
+/// through the regime under test and some accesses took the scalar step.
+fn assert_split(fast: u64, st: RunStats, what: &str) {
+    assert!(fast > 0, "{what}: the regime under test never ran ({st:?})");
+    assert!(
+        st.fallbacks > 0,
+        "{what}: no edge split the regime under test ({st:?})"
+    );
+}
+
+/// A sequential run from `line` (a line index into the test region).
+fn run(line: u64, lines: u64, write: bool, dep: Dep) -> Op {
+    Op::Run {
+        addr: (1 << 21) + line * LINE,
+        lines,
+        write,
+        dep,
+    }
+}
+
+#[test]
+fn edge_inside_hot_batch_is_identical() {
+    // A 480-line rescan of an L1D-resident window costs 240 cycles reading
+    // and 480 writing; windows of 36 and 54 cycles split every batch.
+    let mut ops = vec![run(0, 480, false, Dep::Stream)];
+    for i in 0..6u64 {
+        ops.push(run(0, 480, false, Dep::Stream));
+        ops.push(run(0, 480, true, Dep::Stream));
+        ops.push(Op::Exec(ExecOp::Mul));
+        ops.push(run(i, 400, false, Dep::Stream));
+    }
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(1.5e-8, 1e-8, false),
+        &ops,
+        "edge inside hot batch",
+    );
+    assert_split(st.batched_lines, st, "edge inside hot batch");
+}
+
+#[test]
+fn edge_inside_replay_is_identical() {
+    // Identical 64-line rescans replay from the memo (32 cycles each);
+    // roughly one in twenty straddles an edge and must split instead.
+    let mut ops = vec![run(0, 64, false, Dep::Stream)];
+    ops.extend(std::iter::repeat_n(run(0, 64, false, Dep::Stream), 200));
+    ops.extend(std::iter::repeat_n(run(0, 64, true, Dep::Stream), 100));
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-7, 2e-7, true),
+        &ops,
+        "edge inside replay",
+    );
+    assert_split(st.replayed_lines, st, "edge inside replay");
+    assert!(
+        st.batched_lines > 0,
+        "edge inside replay: straddling runs must split ({st:?})"
+    );
+}
+
+#[test]
+fn edge_inside_repeat_is_identical() {
+    let mut ops = Vec::new();
+    for i in 0..20u64 {
+        ops.push(Op::Repeat {
+            addr: (1 << 21) + i * LINE + 8,
+            n: 400,
+            write: false,
+        });
+        ops.push(Op::Repeat {
+            addr: (1 << 21) + i * LINE,
+            n: 300,
+            write: true,
+        });
+    }
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(1.5e-8, 1e-8, false),
+        &ops,
+        "edge inside repeat",
+    );
+    assert_split(st.batched_lines, st, "edge inside repeat");
+}
+
+#[test]
+fn edge_inside_fused_cold_segment_is_identical() {
+    // Cold reads from DRAM, cold write-allocates and an L2/L3-resident
+    // rescan, with the prefetcher trained: one stream step may take up to
+    // ~33 cycles, so the last tenth of every 360-cycle window goes scalar
+    // and the rest stays on the fused walk.
+    let ops = [
+        run(0, 3000, false, Dep::Stream),
+        run(3000, 3000, true, Dep::Stream),
+        run(0, 3000, false, Dep::Stream),
+        run(1500, 3000, true, Dep::Stream),
+    ];
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(1.5e-7, 1e-7, true),
+        &ops,
+        "edge inside fused cold segment",
+    );
+    assert_split(st.cold_batched_lines, st, "edge inside fused cold segment");
+}
+
+#[test]
+fn edge_inside_chase_with_pending_shadow_is_identical() {
+    // DRAM chase loads leave a ~258-cycle shadow that the next chase step
+    // settles; stream runs after a chase drain its fillable part first.
+    let mut ops = vec![run(0, 64, false, Dep::Stream)];
+    for i in 0..8u64 {
+        ops.push(run(16_384 + i * 128, 40, false, Dep::Chase));
+        ops.push(run(0, 64, false, Dep::Chase));
+        ops.push(run(0, 64, i & 1 == 0, Dep::Stream));
+        ops.push(Op::Load {
+            addr: (1 << 21) + (24_000 + i * 64) * LINE,
+            dep: Dep::Chase,
+        });
+        ops.push(Op::Repeat {
+            addr: 1 << 21,
+            n: 40,
+            write: false,
+        });
+    }
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-7, 2e-7, true),
+        &ops,
+        "edge inside chase step",
+    );
+    assert_split(st.cold_batched_lines, st, "edge inside chase step");
+}
+
+#[test]
+fn edge_inside_copy_run_is_identical() {
+    let ops = [
+        Op::Copy {
+            addr: 1 << 21,
+            lines: 1500,
+        },
+        Op::Copy {
+            addr: 1 << 21,
+            lines: 300,
+        },
+        Op::Copy {
+            addr: (1 << 21) + 900 * LINE + 17,
+            lines: 1200,
+        },
+    ];
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-7, 2e-7, true),
+        &ops,
+        "edge inside copy_run",
+    );
+    assert_split(
+        st.batched_lines + st.cold_batched_lines,
+        st,
+        "edge inside copy_run",
+    );
+}
+
+#[test]
+fn governor_decay_and_ramp_rebuild_prices_mid_run() {
+    // Each idle gap spans dozens of 50 ns governor windows at zero
+    // utilization, so the P-state decays to P8; the busy work after it
+    // ramps back by four bins per window. Prices change at edges inside
+    // hot batches, repeats, cold segments, chase runs and copies.
+    let mut ops = Vec::new();
+    for i in 0..4u64 {
+        ops.push(Op::Idle(2e-6));
+        ops.push(run(0, 480, false, Dep::Stream));
+        ops.push(run(0, 480, true, Dep::Stream));
+        ops.push(run(4096 + i * 700, 700, false, Dep::Stream));
+        ops.push(run(16_384 + i * 64, 30, false, Dep::Chase));
+        ops.push(Op::Repeat {
+            addr: (1 << 21) + 3 * LINE,
+            n: 300,
+            write: i & 1 == 1,
+        });
+        ops.push(Op::Copy {
+            addr: (1 << 21) + (8192 + i * 200) * LINE,
+            lines: 200,
+        });
+    }
+    let setup = edges(5e-8, 4e-8, true);
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        &setup,
+        &ops,
+        "governor decay and ramp",
+    );
+    assert_split(
+        st.batched_lines + st.cold_batched_lines,
+        st,
+        "governor decay and ramp",
+    );
+    // The trace must really move the P-state both ways.
+    let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+    cpu.alloc(1 << 21).unwrap();
+    setup(&mut cpu);
+    replay_batched(&mut cpu, &ops);
+    let sampler = cpu.take_sampler().unwrap();
+    assert!(sampler.residency(PState::P8) > 0.0, "idle must decay to P8");
+    assert!(
+        sampler.residency(PState::P36) > 0.0,
+        "work must ramp to P36"
+    );
+}
+
+#[test]
+fn sampler_tick_inside_its_tolerance_is_identical() {
+    // The sampler fires once the clock is within 1e-12 s of its next tick.
+    // An interval of 64 hot loads plus a fraction of that tolerance ends
+    // the 64th load inside the band: the scalar loop samples right there,
+    // so neither a batch nor a repeat may run past it.
+    let dt = 0.5 / 3.6e9; // one load-issue slot at P36
+    for frac in [0.2, 0.5, 0.8] {
+        let setup = move |c: &mut Cpu| {
+            c.set_prefetch(false);
+            for i in 0..256u64 {
+                c.load((1 << 21) + i * LINE, Dep::Stream);
+            }
+            c.attach_sampler(64.0 * dt + frac * 1e-12);
+        };
+        let mut ops = vec![run(0, 256, false, Dep::Stream); 4];
+        ops.push(Op::Repeat {
+            addr: (1 << 21) + 7 * LINE,
+            n: 512,
+            write: false,
+        });
+        let what = format!("tick inside tolerance, frac {frac}");
+        let st = check(ArchConfig::intel_i7_4790, setup, &ops, &what);
+        assert_split(st.batched_lines, st, &what);
+    }
+}
+
+#[test]
+fn randomized_traces_with_edges_are_bit_identical() {
+    for seed in 200..=203u64 {
+        let mut ops = random_trace(seed, 300);
+        for at in [60, 150, 240] {
+            ops.insert(at, Op::Idle(1e-6));
+        }
+        check(
+            ArchConfig::intel_i7_4790,
+            edges(1e-7, 7e-8, seed & 1 == 0),
+            &ops,
+            &format!("random with edges, seed {seed}"),
+        );
+    }
 }
 
 #[test]
