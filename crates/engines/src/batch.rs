@@ -9,27 +9,28 @@
 //! * **Scans** stream only the column lanes a predicate references, select
 //!   host-side, and *late-materialize*: output lanes are gathered only for
 //!   surviving rows.
+//! * **Index ranges** stream the key lane once and select in register.
 //! * **Operator state** (the row engines' per-tuple VM/cursor traffic) is
 //!   charged once per vector, amortized to `state_loads_per_row` (= 4 for
 //!   [`crate::profile::VEC`]) per row instead of the row engines' 120–330.
 //! * **Joins and aggregation** keep their inherently per-row random
 //!   accesses (hash-bucket chases) but batch the hashing and bookkeeping.
 //!
-//! Results are bit-for-bit identical to the row engines (the differential
-//! harness runs `vec` as a fifth variant); only the issued loads/stores/ops
-//! differ — which is the whole point of the architectural counterfactual:
-//! how much of the paper's 39–67% L1D energy share is *implementation
-//! style* rather than workload?
+//! This module is the vec access and charging layer only. The operator
+//! semantics — the unindexed `IndexRange` fold, hash-join build, probe and
+//! key rule, the hash-aggregate group table, the aggregate fold and the
+//! sort — come from a crate-private module shared with the row executor,
+//! so the two cannot drift apart (the differential harness runs `vec` as a
+//! fifth variant). Only the issued loads/stores/ops differ — which is the
+//! whole point of the architectural counterfactual: how much of the paper's
+//! 39–67% L1D energy share is *implementation style* rather than workload?
 
-use crate::executor::{canon_key, col, hash_bytes, key_of_row, span_name, update_states};
+use crate::executor::{span_name, SCRATCH_BYTES};
+use crate::ops::{self, col, RangePath, WorkMem};
 use crate::plan::Plan;
 use crate::profile::Profile;
 use simcore::{Cpu, Dep, ExecOp, Region, LINE};
-use std::collections::HashMap;
-use storage::expr::AggState;
-use storage::{
-    Catalog, CmpOp, ColumnChunks, Expr, Row, SimHashTable, SimSorter, StorageError, Value,
-};
+use storage::{AggSpec, Catalog, ColumnChunks, Expr, Row, StorageError};
 
 /// Vector width: rows processed per batch.
 pub const BATCH_ROWS: usize = 1024;
@@ -42,12 +43,9 @@ pub struct BatchEnv<'a> {
     pub catalog: &'a Catalog,
     /// Engine personality (must have [`Profile::vectorized`] set).
     pub profile: &'a Profile,
-    /// Per-operation memory budget.
-    pub work_mem: u64,
+    work: WorkMem,
     scratch: Region,
     scratch_off: u64,
-    temp_base: Option<Region>,
-    temp_off: u64,
 }
 
 impl<'a> BatchEnv<'a> {
@@ -60,42 +58,14 @@ impl<'a> BatchEnv<'a> {
         work_mem: u64,
         temp: Option<Region>,
     ) -> storage::Result<BatchEnv<'a>> {
-        let scratch = cpu.alloc(crate::executor::SCRATCH_BYTES)?;
+        let scratch = cpu.alloc(SCRATCH_BYTES)?;
         Ok(BatchEnv {
             catalog,
             profile,
-            work_mem,
+            work: WorkMem::new(work_mem, temp),
             scratch,
             scratch_off: 0,
-            temp_base: temp,
-            temp_off: 0,
         })
-    }
-
-    /// Carve `len` bytes out of the reusable temp region (same policy as
-    /// the row executor: line-aligned bump allocation, wrap on exhaustion).
-    fn temp_alloc(&mut self, cpu: &mut Cpu, len: u64) -> storage::Result<Region> {
-        if let Some(base) = self.temp_base {
-            let len = len.min(base.len);
-            if self.temp_off + len <= base.len {
-                let r = Region {
-                    addr: base.addr + self.temp_off,
-                    len,
-                };
-                self.temp_off += len.div_ceil(LINE) * LINE;
-                return Ok(r);
-            }
-            self.temp_off = 0;
-            if len <= base.len {
-                let r = Region {
-                    addr: base.addr,
-                    len,
-                };
-                self.temp_off = len.div_ceil(LINE) * LINE;
-                return Ok(r);
-            }
-        }
-        Ok(cpu.alloc(len)?)
     }
 
     /// Batched bookkeeping ops: `per_row_ops` per row, issued once per
@@ -184,7 +154,10 @@ fn run_op(cpu: &mut Cpu, env: &mut BatchEnv<'_>, plan: &Plan) -> storage::Result
             group_by,
             aggs,
         } => aggregate(cpu, env, input, group_by, aggs),
-        Plan::Sort { input, keys, limit } => sort(cpu, env, input, keys, *limit),
+        Plan::Sort { input, keys, limit } => {
+            let rows = run(cpu, env, input)?;
+            ops::sort(cpu, &mut env.work, rows, keys, *limit)
+        }
         Plan::Limit { input, n } => {
             let mut rows = run(cpu, env, input)?;
             rows.truncate(*n);
@@ -221,19 +194,22 @@ fn expr_cols(e: &Expr, out: &mut Vec<usize>) {
     }
 }
 
+/// The lanes `exprs` read, ascending and deduplicated.
+fn lanes<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Vec<usize> {
+    let mut v = Vec::new();
+    for e in exprs {
+        expr_cols(e, &mut v);
+    }
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
 /// Which lanes the output needs (project-referenced columns, or all of
 /// them), plus the output arity.
 fn output_cols(arity: usize, project: &Option<Vec<Expr>>) -> (Vec<usize>, usize) {
     match project {
-        Some(p) => {
-            let mut v = Vec::new();
-            for e in p {
-                expr_cols(e, &mut v);
-            }
-            v.sort_unstable();
-            v.dedup();
-            (v, p.len())
-        }
+        Some(p) => (lanes(p), p.len()),
         None => ((0..arity).collect(), arity),
     }
 }
@@ -262,12 +238,7 @@ fn scan(
 ) -> storage::Result<Vec<Row>> {
     let chunks = chunks_of(env.catalog, table)?;
     let arity = chunks.arity();
-    let mut pred_cols = Vec::new();
-    if let Some(f) = filter {
-        expr_cols(f, &mut pred_cols);
-    }
-    pred_cols.sort_unstable();
-    pred_cols.dedup();
+    let pred_cols = lanes(filter);
     let (out_cols, out_arity) = output_cols(arity, project);
 
     let rows = chunks.rows();
@@ -302,11 +273,7 @@ fn scan(
         }
         env.state_touch(cpu, n);
         for &r in &survivors {
-            let row = row_at(chunks, r);
-            match project {
-                Some(p) => out.push(p.iter().map(|e| e.eval(cpu, &row)).collect()),
-                None => out.push(row),
-            }
+            out.extend(ops::filter_project(cpu, row_at(chunks, r), &None, project));
         }
         env.materialize_rows(cpu, out_arity, k as u64);
         lo = hi;
@@ -325,39 +292,16 @@ fn index_range(
     filter: &Option<Expr>,
     project: &Option<Vec<Expr>>,
 ) -> storage::Result<Vec<Row>> {
-    let catalog = env.catalog;
-    let t = catalog.table(table)?;
-    let ci = t
-        .schema
-        .col(colname)
-        .ok_or(StorageError::Schema("unknown index column"))?;
-    if t.index_on(ci).is_none() {
-        // Mirror the row executor's no-index fallback *exactly* (the range
-        // folds into Ge/Le expressions, so float keys compare un-truncated)
-        // — the personalities must keep agreeing bit for bit.
-        let mut range_filter = Vec::new();
-        if let Some(l) = lo_b {
-            range_filter.push(Expr::cmp(CmpOp::Ge, Expr::col(ci), Expr::int(l)));
-        }
-        if let Some(h) = hi_b {
-            range_filter.push(Expr::cmp(CmpOp::Le, Expr::col(ci), Expr::int(h)));
-        }
-        if let Some(f) = filter {
-            range_filter.push(f.clone());
-        }
-        let combined = if range_filter.is_empty() {
-            None
-        } else {
-            Some(Expr::and_all(range_filter))
-        };
-        return scan(cpu, env, table, &combined, project);
-    }
+    let ci = match ops::range_path(env.catalog, table, colname, lo_b, hi_b, filter)? {
+        RangePath::Scan(filter) => return scan(cpu, env, table, &filter, project),
+        RangePath::Indexed { col, .. } => col,
+    };
 
     // Columnar "index scan": stream the key lane once and select in
     // register, then emit in (key asc, row order) — the same order and the
     // same integral-key semantics (floats truncate, non-integral rows drop
     // out) as the row engines' B-tree emission.
-    let chunks = chunks_of(catalog, table)?;
+    let chunks = chunks_of(env.catalog, table)?;
     let rows = chunks.rows();
     chunks.col(ci).touch_range(cpu, 0, rows, Dep::Stream);
     cpu.exec_n(ExecOp::Generic, rows as u64);
@@ -383,21 +327,11 @@ fn index_range(
             }
         }
         env.state_touch(cpu, n);
-        let mut emitted = 0u64;
+        let before = out.len();
         for &(_, r) in batch {
-            let row = row_at(chunks, r);
-            if let Some(f) = filter {
-                if !f.matches(cpu, &row) {
-                    continue;
-                }
-            }
-            emitted += 1;
-            match project {
-                Some(p) => out.push(p.iter().map(|e| e.eval(cpu, &row)).collect()),
-                None => out.push(row),
-            }
+            out.extend(ops::filter_project(cpu, row_at(chunks, r), filter, project));
         }
-        env.materialize_rows(cpu, out_arity, emitted);
+        env.materialize_rows(cpu, out_arity, (out.len() - before) as u64);
     }
     Ok(out)
 }
@@ -413,62 +347,29 @@ fn join(
     filter: &Option<Expr>,
     project: &Option<Vec<Expr>>,
 ) -> storage::Result<Vec<Row>> {
-    // The vectorized personality always hash-joins. Build on the right
-    // child (workload plans put the smaller input there), with the same
-    // sizing and grace-spill model as the row executor.
+    // The vectorized personality always hash-joins, building on the right
+    // child (workload plans put the smaller input there).
     let build_rows = run(cpu, env, right)?;
-    let arity = build_rows.first().map(|r| r.len()).unwrap_or(1);
-    let entry_bytes = 24 + 16 * arity as u64;
-    let n = build_rows.len() as u64;
-    let region = env.temp_alloc(
-        cpu,
-        n.max(16).next_power_of_two() * 8 + n.max(16) * 2 * entry_bytes,
-    )?;
-    let mut ht = SimHashTable::new_in(region, n, entry_bytes);
-    for row in build_rows {
-        let key = col(&row, right_col)?.clone();
-        ht.insert(cpu, key, row);
-    }
-    if ht.footprint() > env.work_mem && env.work_mem > 0 {
-        let batches = ht.footprint().div_ceil(env.work_mem);
-        cpu.idle_c0(200e-6 * batches as f64);
-        cpu.exec_n(ExecOp::Generic, ht.len() * 2);
-    }
-
+    let ht = ops::HashJoin::build(cpu, &mut env.work, build_rows, right_col)?;
     let probe_rows = run(cpu, env, left)?;
     let mut out = Vec::new();
     for batch in probe_rows.chunks(BATCH_ROWS) {
         env.state_touch(cpu, batch.len() as u64);
         let mut cands: Vec<Row> = Vec::new();
         for lrow in batch {
-            let key = col(lrow, left_col)?;
-            if matches!(key, Value::Null) {
-                continue;
-            }
-            for (_, rrow) in ht.probe(cpu, key).iter().filter(|(k, _)| k.group_eq(key)) {
+            for rrow in ht.probe(cpu, col(lrow, left_col)?) {
                 let mut row = lrow.clone();
                 row.extend(rrow.iter().cloned());
                 cands.push(row);
             }
         }
         env.per_batch_ops(cpu, cands.len() as u64);
-        let mut emitted = 0u64;
-        let mut out_arity = 0usize;
+        let before = out.len();
         for row in cands {
-            if let Some(f) = filter {
-                if !f.matches(cpu, &row) {
-                    continue;
-                }
-            }
-            let row: Row = match project {
-                Some(p) => p.iter().map(|e| e.eval(cpu, &row)).collect(),
-                None => row,
-            };
-            out_arity = row.len();
-            emitted += 1;
-            out.push(row);
+            out.extend(ops::filter_project(cpu, row, filter, project));
         }
-        env.materialize_rows(cpu, out_arity, emitted);
+        let arity = out.last().map_or(0, |r| r.len());
+        env.materialize_rows(cpu, arity, (out.len() - before) as u64);
     }
     Ok(out)
 }
@@ -478,24 +379,20 @@ fn aggregate(
     env: &mut BatchEnv<'_>,
     input: &Plan,
     group_by: &[usize],
-    aggs: &[storage::AggSpec],
+    aggs: &[AggSpec],
 ) -> storage::Result<Vec<Row>> {
     let rows = run(cpu, env, input)?;
 
     // Scalar aggregation: one state vector folded batch-at-a-time.
     if group_by.is_empty() {
-        let mut states: Vec<AggState> = aggs.iter().map(|_| AggState::new()).collect();
+        let mut states = ops::new_states(aggs);
         for batch in rows.chunks(BATCH_ROWS) {
             env.state_touch(cpu, batch.len() as u64);
             for row in batch {
-                update_states(cpu, &mut states, aggs, row);
+                ops::update_states(cpu, &mut states, aggs, row);
             }
         }
-        let result: Row = aggs
-            .iter()
-            .zip(&states)
-            .map(|(a, s)| s.result(a.f))
-            .collect();
+        let result = ops::finish_row(Vec::new(), &states, aggs);
         env.materialize_rows(cpu, result.len(), 1);
         return Ok(vec![result]);
     }
@@ -503,71 +400,21 @@ fn aggregate(
     // Hash aggregation, batch-at-a-time: the group-state slot is still a
     // random (chase) access per row — vectorization cannot batch that — but
     // key hashing and bookkeeping amortize over the vector.
-    let region = env.temp_alloc(cpu, (rows.len().max(16) as u64 * 64).min(1 << 22))?;
-    let slots = region.len / 64;
-    let mut groups: HashMap<Vec<u8>, (Row, Vec<AggState>)> = HashMap::new();
+    let mut groups = ops::GroupTable::new(cpu, &mut env.work, rows.len(), group_by, aggs)?;
     for batch in rows.chunks(BATCH_ROWS) {
         let n = batch.len() as u64;
         env.state_touch(cpu, n);
         env.per_batch_ops(cpu, n);
         cpu.exec_n(ExecOp::Mul, n);
         for row in batch {
-            let key_vals: Row = key_of_row(row, group_by.iter().copied())?;
-            let key = canon_key(&key_vals);
-            let h = hash_bytes(&key);
-            let state_addr = region.addr + (h % slots) * 64;
-            cpu.load(state_addr, Dep::Chase);
-            cpu.store(state_addr);
-            let entry = groups
-                .entry(key)
-                .or_insert_with(|| (key_vals, aggs.iter().map(|_| AggState::new()).collect()));
-            update_states(cpu, &mut entry.1, aggs, row);
+            groups.fold(cpu, row)?;
         }
     }
-    // Drain in canonical key order (deterministic, same as the row hash
-    // aggregate).
-    let mut entries: Vec<(Vec<u8>, Row, Vec<AggState>)> = groups
-        .into_iter()
-        .map(|(k, (kv, st))| (k, kv, st))
-        .collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(entries.len());
-    for (_, key_vals, states) in entries {
-        let mut r = key_vals;
-        r.extend(aggs.iter().zip(&states).map(|(a, s)| s.result(a.f)));
-        out.push(r);
-    }
+    let out = groups.finish();
     if let Some(r0) = out.first() {
-        let a = r0.len();
-        env.materialize_rows(cpu, a, out.len() as u64);
+        env.materialize_rows(cpu, r0.len(), out.len() as u64);
     }
     Ok(out)
-}
-
-fn sort(
-    cpu: &mut Cpu,
-    env: &mut BatchEnv<'_>,
-    input: &Plan,
-    keys: &[(usize, bool)],
-    limit: Option<usize>,
-) -> storage::Result<Vec<Row>> {
-    let rows = run(cpu, env, input)?;
-    let row_bytes = rows.first().map(|r| r.len() as u64 * 16 + 16).unwrap_or(32);
-    let region = env.temp_alloc(
-        cpu,
-        (rows.len().max(16) as u64 * row_bytes).min(env.work_mem.max(row_bytes * 16)),
-    )?;
-    let mut sorter = SimSorter::new_in(region, row_bytes, env.work_mem);
-    for row in rows {
-        let key: Vec<Value> = key_of_row(&row, keys.iter().map(|&(c, _)| c))?;
-        sorter.push(cpu, key, row);
-    }
-    let desc: Vec<bool> = keys.iter().map(|&(_, d)| d).collect();
-    let mut sorted = sorter.finish(cpu, &desc);
-    if let Some(n) = limit {
-        sorted.truncate(n);
-    }
-    Ok(sorted)
 }
 
 #[cfg(test)]
@@ -578,7 +425,7 @@ mod tests {
     use crate::profile::EngineKind;
     use crate::Dml;
     use simcore::{ArchConfig, Cpu, Event};
-    use storage::{AggFn, AggSpec};
+    use storage::{AggFn, CmpOp, Value};
 
     fn cpu() -> Cpu {
         Cpu::new(ArchConfig::intel_i7_4790())

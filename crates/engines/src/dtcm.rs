@@ -184,22 +184,22 @@ impl DtcmDatabase {
 
     /// Execute a plan through the Lite personality with the TCM pins active.
     pub fn run(&mut self, cpu: &mut Cpu, plan: &Plan) -> storage::Result<Vec<Row>> {
-        let temp = self.db.default_ctx.checkout(cpu, self.db.knobs.work_mem)?;
-        let result = (|| {
+        let db = &mut self.db;
+        let (store, catalog, work_mem) = (&db.store, &db.catalog, db.knobs.work_mem);
+        let (pool, hot_vars) = (&mut self.pool, self.scratch);
+        db.default_ctx.with_scratch(cpu, work_mem, |cpu, temp| {
             let mut env = Env::new(
                 cpu,
-                &self.db.store,
-                &mut self.pool,
-                &self.db.catalog,
+                store,
+                pool,
+                catalog,
                 &LITE,
-                self.db.knobs.work_mem,
-                self.scratch,
+                work_mem,
+                hot_vars,
                 Some(temp),
             )?;
             executor::run(cpu, &mut env, plan)
-        })();
-        self.db.default_ctx.release();
-        result
+        })
     }
 
     /// Number of pages pinned in DTCM.

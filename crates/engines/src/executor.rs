@@ -8,33 +8,22 @@
 //! explicitly against a scratch "register file" ring that stays
 //! L1D-resident — the paper's observation that read-only queries still
 //! issue ~⅔ as many stores as loads, 99.86% of which hit L1D (§3.2).
+//!
+//! Semantics shared with the batch executor (hash join, hash and scalar
+//! aggregation, sort, the unindexed `IndexRange` fold) live in a
+//! crate-private module; this one owns the row engines' access paths and
+//! their per-row charging.
 
 use crate::db::u64_to_tid;
+use crate::ops::{self, col, key_of_row, RangePath, WorkMem};
 use crate::plan::Plan;
 use crate::profile::Profile;
 use simcore::{Cpu, Dep, ExecOp, Region};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use storage::buffer::{BufferPool, PageAccess};
 use storage::catalog::TableInfo;
 use storage::expr::AggState;
-use storage::{
-    AggFn, AggSpec, BTree, Catalog, Expr, PageStore, Row, SimHashTable, SimSorter, StorageError,
-    Value,
-};
-
-/// Fetch column `c` of `row`. A plan whose join/sort/group column index
-/// exceeds the row arity is malformed input, not an executor invariant —
-/// surface it as a schema error instead of panicking the scheduler shard.
-pub(crate) fn col(row: &Row, c: usize) -> storage::Result<&Value> {
-    row.get(c)
-        .ok_or(StorageError::Schema("plan column index out of row bounds"))
-}
-
-/// Clone the `cols`-indexed values out of `row` (group/sort keys), with the
-/// same bounds policy as [`col`].
-pub(crate) fn key_of_row(row: &Row, cols: impl Iterator<Item = usize>) -> storage::Result<Row> {
-    cols.map(|c| col(row, c).cloned()).collect()
-}
+use storage::{AggSpec, BTree, Catalog, Expr, PageStore, Row, Value};
 
 /// Per-query execution environment.
 pub struct Env<'a, P: PageAccess> {
@@ -46,8 +35,7 @@ pub struct Env<'a, P: PageAccess> {
     pub catalog: &'a Catalog,
     /// Engine personality.
     pub profile: &'a Profile,
-    /// Per-operation memory budget.
-    pub work_mem: u64,
+    work: WorkMem,
     scratch: Region,
     /// TCM sub-region for the hottest VM variables (§4.2 "special
     /// variables"); `None` on ordinary builds.
@@ -55,8 +43,6 @@ pub struct Env<'a, P: PageAccess> {
     scratch_off: u64,
     temp_store: PageStore,
     temp_pool: BufferPool,
-    temp_base: Option<Region>,
-    temp_off: u64,
 }
 
 /// Size of the executor's scratch "register file" ring.
@@ -64,7 +50,8 @@ pub const SCRATCH_BYTES: u64 = 8 * 1024;
 
 impl<'a, P: PageAccess> Env<'a, P> {
     /// Build an environment. `hot_vars` points the hottest VM state at a TCM
-    /// region (the DTCM build, §4.2 "special variables").
+    /// region (the DTCM build, §4.2 "special variables"); `temp` is the
+    /// session's reusable scratch region for sort runs and hash tables.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cpu: &mut Cpu,
@@ -82,43 +69,13 @@ impl<'a, P: PageAccess> Env<'a, P> {
             pool,
             catalog,
             profile,
-            work_mem,
+            work: WorkMem::new(work_mem, temp),
             scratch,
             hot_vars,
             scratch_off: 0,
             temp_store: PageStore::new(4096),
             temp_pool: BufferPool::new_memory_resident(1 << 22, 4096),
-            temp_base: temp,
-            temp_off: 0,
         })
-    }
-
-    /// Carve `len` bytes out of the reusable temp region (falls back to a
-    /// fresh allocation when no region was provided or it is exhausted).
-    fn temp_alloc(&mut self, cpu: &mut Cpu, len: u64) -> storage::Result<Region> {
-        if let Some(base) = self.temp_base {
-            let len = len.min(base.len);
-            if self.temp_off + len <= base.len {
-                let r = Region {
-                    addr: base.addr + self.temp_off,
-                    len,
-                };
-                self.temp_off += len.div_ceil(simcore::LINE) * simcore::LINE;
-                return Ok(r);
-            }
-            // Exhausted: wrap (temp structures from earlier operators of the
-            // same query are already drained).
-            self.temp_off = 0;
-            if len <= base.len {
-                let r = Region {
-                    addr: base.addr,
-                    len,
-                };
-                self.temp_off = len.div_ceil(simcore::LINE) * simcore::LINE;
-                return Ok(r);
-            }
-        }
-        Ok(cpu.alloc(len)?)
     }
 
     /// Charge the per-row interpreter traffic (VM registers / cursor
@@ -250,15 +207,25 @@ fn run_op<P: PageAccess>(
             right_col,
             filter,
             project,
-        } => join(
-            cpu, env, left, right, *left_col, *right_col, filter, project,
-        ),
+        } => {
+            let join = if env.profile.hash_join {
+                hash_join
+            } else {
+                index_nl_join
+            };
+            join(
+                cpu, env, left, right, *left_col, *right_col, filter, project,
+            )
+        }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => aggregate(cpu, env, input, group_by, aggs),
-        Plan::Sort { input, keys, limit } => sort(cpu, env, input, keys, *limit),
+        Plan::Sort { input, keys, limit } => {
+            let rows = run(cpu, env, input)?;
+            ops::sort(cpu, &mut env.work, rows, keys, *limit)
+        }
         Plan::Limit { input, n } => {
             let mut rows = run(cpu, env, input)?;
             rows.truncate(*n);
@@ -321,19 +288,28 @@ fn emit<P: PageAccess>(
     out: &mut Vec<Row>,
 ) {
     cpu.exec_n(ExecOp::Generic, env.profile.per_row_ops);
-    if let Some(f) = filter {
-        if !f.matches(cpu, &row) {
-            return;
+    if let Some(row) = ops::filter_project(cpu, row, filter, project) {
+        if project.is_some() {
+            env.materialize(cpu, row.len());
         }
+        out.push(row);
     }
-    match project {
-        Some(p) => {
-            let projected: Row = p.iter().map(|e| e.eval(cpu, &row)).collect();
-            env.materialize(cpu, projected.len());
-            out.push(projected);
-        }
-        None => out.push(row),
-    }
+}
+
+/// Concatenate a join's two sides, charge the materialization, and emit.
+fn emit_joined<P: PageAccess>(
+    cpu: &mut Cpu,
+    env: &mut Env<'_, P>,
+    lrow: &Row,
+    rrow: impl IntoIterator<Item = Value>,
+    filter: &Option<Expr>,
+    project: &Option<Vec<Expr>>,
+    out: &mut Vec<Row>,
+) {
+    let mut row = lrow.clone();
+    row.extend(rrow);
+    env.materialize(cpu, row.len());
+    emit(cpu, env, row, filter, project, out);
 }
 
 fn scan<P: PageAccess>(
@@ -401,33 +377,11 @@ fn index_range<P: PageAccess>(
     filter: &Option<Expr>,
     project: &Option<Vec<Expr>>,
 ) -> storage::Result<Vec<Row>> {
-    let catalog = env.catalog;
-    let t = catalog.table(table)?;
-    let ci = t
-        .schema
-        .col(col)
-        .ok_or(StorageError::Schema("unknown index column"))?;
-    let Some(tree) = t.index_on(ci) else {
-        // No index: fall back to a filtered scan with the range folded in.
-        let mut range_filter = Vec::new();
-        if let Some(l) = lo {
-            range_filter.push(Expr::cmp(storage::CmpOp::Ge, Expr::col(ci), Expr::int(l)));
-        }
-        if let Some(h) = hi {
-            range_filter.push(Expr::cmp(storage::CmpOp::Le, Expr::col(ci), Expr::int(h)));
-        }
-        if let Some(f) = filter {
-            range_filter.push(f.clone());
-        }
-        let combined = if range_filter.is_empty() {
-            None
-        } else {
-            Some(Expr::and_all(range_filter))
-        };
-        return scan(cpu, env, table, &combined, project);
+    let (t, ci, tree) = match ops::range_path(env.catalog, table, col, lo, hi, filter)? {
+        RangePath::Scan(filter) => return scan(cpu, env, table, &filter, project),
+        RangePath::Indexed { table, col, tree } => (table, col, tree),
     };
     let is_pk = t.pk_col == Some(ci);
-    let tree = tree.clone();
     let mut cur = tree.seek(cpu, env.store, env.pool, lo.unwrap_or(i64::MIN));
     let mut out = Vec::new();
     while let Some((k, payload)) = cur.next(cpu, env.store, env.pool) {
@@ -447,24 +401,6 @@ fn index_range<P: PageAccess>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn join<P: PageAccess>(
-    cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
-    left: &Plan,
-    right: &Plan,
-    left_col: usize,
-    right_col: usize,
-    filter: &Option<Expr>,
-    project: &Option<Vec<Expr>>,
-) -> storage::Result<Vec<Row>> {
-    if env.profile.hash_join {
-        hash_join(cpu, env, left, right, left_col, right_col, filter, project)
-    } else {
-        index_nl_join(cpu, env, left, right, left_col, right_col, filter, project)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn hash_join<P: PageAccess>(
     cpu: &mut Cpu,
     env: &mut Env<'_, P>,
@@ -477,55 +413,26 @@ fn hash_join<P: PageAccess>(
 ) -> storage::Result<Vec<Row>> {
     // Build on the right child (workload plans put the smaller input there).
     let build_rows = run(cpu, env, right)?;
-    let arity = build_rows.first().map(|r| r.len()).unwrap_or(1);
-    let entry_bytes = 24 + 16 * arity as u64;
-    let n = build_rows.len() as u64;
-    let region = env.temp_alloc(
-        cpu,
-        n.max(16).next_power_of_two() * 8 + n.max(16) * 2 * entry_bytes,
-    )?;
-    let mut ht = SimHashTable::new_in(region, n, entry_bytes);
-    for row in build_rows {
-        let key = col(&row, right_col)?.clone();
-        ht.insert(cpu, key, row);
-    }
-    // Grace-style spill when the table exceeds work_mem: batches re-read.
-    if ht.footprint() > env.work_mem && env.work_mem > 0 {
-        let batches = ht.footprint().div_ceil(env.work_mem);
-        cpu.idle_c0(200e-6 * batches as f64);
-        cpu.exec_n(ExecOp::Generic, ht.len() * 2);
-    }
-
+    let ht = ops::HashJoin::build(cpu, &mut env.work, build_rows, right_col)?;
     let probe_rows = run(cpu, env, left)?;
     let mut out = Vec::new();
+    // By value: each probe row is freed as the output grows.
     for lrow in probe_rows {
-        let key = col(&lrow, left_col)?;
-        if matches!(key, Value::Null) {
-            continue;
-        }
-        let matches: Vec<Row> = ht
-            .probe(cpu, key)
-            .iter()
-            .filter(|(k, _)| k.group_eq(key))
-            .map(|(_, r)| r.clone())
-            .collect();
-        for rrow in matches {
-            let mut row = lrow.clone();
-            row.extend(rrow);
-            env.materialize(cpu, row.len());
-            emit(cpu, env, row, filter, project, &mut out);
+        for rrow in ht.probe(cpu, col(&lrow, left_col)?) {
+            emit_joined(cpu, env, &lrow, rrow.clone(), filter, project, &mut out);
         }
     }
     Ok(out)
 }
 
-/// Whether `plan` is a bare scan whose output columns are the base table's —
-/// the precondition for driving a nested-loop join through a base index.
+/// The inner table and its index on `join_col`, when `plan` is a bare scan
+/// whose output columns are the base table's — the precondition for
+/// driving a nested-loop join through a base index.
 fn as_indexable<'c>(
     catalog: &'c Catalog,
-    plan: &Plan,
+    plan: &'c Plan,
     join_col: usize,
-) -> Option<(&'c TableInfo, Option<Expr>, bool)> {
+) -> Option<(&'c TableInfo, &'c BTree, &'c Option<Expr>)> {
     let Plan::Scan {
         table,
         filter,
@@ -535,8 +442,7 @@ fn as_indexable<'c>(
         return None;
     };
     let t = catalog.table(table).ok()?;
-    let tree_exists = t.index_on(join_col).is_some();
-    tree_exists.then(|| (t, filter.clone(), t.pk_col == Some(join_col)))
+    Some((t, t.index_on(join_col)?, filter))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -553,12 +459,15 @@ fn index_nl_join<P: PageAccess>(
     let outer_rows = run(cpu, env, left)?;
     let mut out = Vec::new();
 
-    let catalog = env.catalog;
-    if let Some((t, rfilter, is_pk)) = as_indexable(catalog, right, right_col) {
+    if let Some((t, tree, rfilter)) = as_indexable(env.catalog, right, right_col) {
         // Index nested loop: descend the inner index once per outer row.
-        let tree = t.index_on(right_col).expect("checked").clone();
+        // Index keys are the column's integer view, so the seek finds every
+        // candidate; the key rule then decides (a 1.5 seeks key 1 but must
+        // not match an inner 1).
+        let is_pk = t.pk_col == Some(right_col);
         for lrow in outer_rows {
-            let Some(key) = col(&lrow, left_col)?.as_int() else {
+            let lkey = col(&lrow, left_col)?;
+            let Some(key) = lkey.as_int() else {
                 continue;
             };
             let mut cur = tree.seek(cpu, env.store, env.pool, key);
@@ -569,15 +478,15 @@ fn index_nl_join<P: PageAccess>(
                 let Some(rrow) = fetch_via_index(cpu, env, t, payload, is_pk, Dep::Stream)? else {
                     continue;
                 };
-                if let Some(rf) = &rfilter {
+                if !ops::keys_match(col(&rrow, right_col)?, lkey) {
+                    continue;
+                }
+                if let Some(rf) = rfilter {
                     if !rf.matches(cpu, &rrow) {
                         continue;
                     }
                 }
-                let mut row = lrow.clone();
-                row.extend(rrow);
-                env.materialize(cpu, row.len());
-                emit(cpu, env, row, filter, project, &mut out);
+                emit_joined(cpu, env, &lrow, rrow, filter, project, &mut out);
             }
         }
         return Ok(out);
@@ -589,42 +498,45 @@ fn index_nl_join<P: PageAccess>(
     let inner_rows = run(cpu, env, right)?;
     let mut auto = BTree::create(cpu, &mut env.temp_store)?;
     for (i, row) in inner_rows.iter().enumerate() {
-        let key = join_key_i64(col(row, right_col)?);
+        let key = auto_index_key(col(row, right_col)?);
         auto.insert(cpu, &mut env.temp_store, &mut env.temp_pool, key, i as u64)?;
     }
     for lrow in outer_rows {
-        if matches!(col(&lrow, left_col)?, Value::Null) {
+        let lkey = col(&lrow, left_col)?;
+        if matches!(lkey, Value::Null) {
             continue;
         }
-        let key = join_key_i64(col(&lrow, left_col)?);
+        let key = auto_index_key(lkey);
         let mut cur = auto.seek(cpu, &env.temp_store, &mut env.temp_pool, key);
         while let Some((k, idx)) = cur.next(cpu, &env.temp_store, &mut env.temp_pool) {
             if k != key {
                 break;
             }
             let rrow = &inner_rows[idx as usize];
-            // Hash keys can collide for strings: verify real equality.
+            // Hashed keys (no integer image) can collide: verify.
             cpu.exec(ExecOp::Branch);
-            if !col(rrow, right_col)?.group_eq(col(&lrow, left_col)?) {
+            if !ops::keys_match(col(rrow, right_col)?, lkey) {
                 continue;
             }
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            env.materialize(cpu, row.len());
-            emit(cpu, env, row, filter, project, &mut out);
+            emit_joined(
+                cpu,
+                env,
+                &lrow,
+                rrow.iter().cloned(),
+                filter,
+                project,
+                &mut out,
+            );
         }
     }
     Ok(out)
 }
 
-/// Map any value to an i64 B-tree key (ints/dates directly; other types via
-/// their stable hash — equality is re-verified after the probe).
-fn join_key_i64(v: &Value) -> i64 {
-    match v {
-        Value::Int(x) => *x,
-        Value::Date(d) => *d as i64,
-        other => other.hash64() as i64,
-    }
+/// A join key's i64 B-tree key in the transient auto-index: its integer
+/// image, else its stable hash (the join-key rule re-verifies after the
+/// probe).
+fn auto_index_key(v: &Value) -> i64 {
+    ops::int_key(v).unwrap_or_else(|| v.hash64() as i64)
 }
 
 fn aggregate<P: PageAccess>(
@@ -635,198 +547,84 @@ fn aggregate<P: PageAccess>(
     aggs: &[AggSpec],
 ) -> storage::Result<Vec<Row>> {
     let rows = run(cpu, env, input)?;
-
-    // Scalar aggregation.
-    if group_by.is_empty() {
-        let mut states: Vec<AggState> = aggs.iter().map(|_| AggState::new()).collect();
+    let out = if group_by.is_empty() {
+        let mut states = ops::new_states(aggs);
         for row in &rows {
-            update_states(cpu, &mut states, aggs, row);
+            ops::update_states(cpu, &mut states, aggs, row);
         }
-        let result: Row = aggs
-            .iter()
-            .zip(&states)
-            .map(|(a, s)| s.result(a.f))
-            .collect();
-        env.materialize(cpu, result.len());
-        return Ok(vec![result]);
-    }
-
-    if env.profile.hash_agg {
-        // Hash aggregation over a simulated group-state area.
-        let region = env.temp_alloc(cpu, (rows.len().max(16) as u64 * 64).min(1 << 22))?;
-        let slots = region.len / 64;
-        let mut groups: HashMap<Vec<u8>, (Row, Vec<AggState>)> = HashMap::new();
+        vec![ops::finish_row(Vec::new(), &states, aggs)]
+    } else if env.profile.hash_agg {
+        let mut groups = ops::GroupTable::new(cpu, &mut env.work, rows.len(), group_by, aggs)?;
         for row in &rows {
-            let key_vals: Row = key_of_row(row, group_by.iter().copied())?;
-            let key = canon_key(&key_vals);
-            // Bucket chase + state write-back.
-            let h = hash_bytes(&key);
-            cpu.exec(ExecOp::Mul);
-            let state_addr = region.addr + (h % slots) * 64;
-            cpu.load(state_addr, Dep::Chase);
-            cpu.store(state_addr);
-            let entry = groups
-                .entry(key)
-                .or_insert_with(|| (key_vals, aggs.iter().map(|_| AggState::new()).collect()));
-            update_states(cpu, &mut entry.1, aggs, row);
+            cpu.exec(ExecOp::Mul); // hash
+            groups.fold(cpu, row)?;
         }
-        // Drain in canonical key order so executions are bit-for-bit
-        // deterministic (HashMap iteration order is seeded per process).
-        let mut entries: Vec<(Vec<u8>, Row, Vec<AggState>)> = groups
-            .into_iter()
-            .map(|(k, (kv, st))| (k, kv, st))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::with_capacity(entries.len());
-        for (_, key_vals, states) in entries {
-            let mut r = key_vals;
-            r.extend(aggs.iter().zip(&states).map(|(a, s)| s.result(a.f)));
-            env.materialize(cpu, r.len());
-            out.push(r);
-        }
-        return Ok(out);
-    }
-
-    // Lite: ephemeral B-tree keyed by the group key (SQLite's transient
-    // index for GROUP BY). With few groups the tree stays one or two
-    // L1D-resident nodes, so grouping is load/store-dominated, not
-    // movement-dominated.
-    let region = env.temp_alloc(cpu, 1 << 16)?;
-    let slots = region.len / 64;
-    let mut gt = BTree::create(cpu, &mut env.temp_store)?;
-    let mut groups: HashMap<Vec<u8>, (Row, Vec<AggState>, u64)> = HashMap::new();
-    let mut next_idx = 0u64;
-    for row in &rows {
-        let key_vals: Row = key_of_row(row, group_by.iter().copied())?;
-        let key = canon_key(&key_vals);
-        let h = hash_bytes(&key) as i64;
-        let idx = match groups.get(&key) {
-            Some((_, _, idx)) => {
-                // Existing group: one descent to find its row.
-                let _ = gt.seek(cpu, &env.temp_store, &mut env.temp_pool, h);
-                *idx
-            }
-            None => {
-                let idx = next_idx;
-                next_idx += 1;
-                gt.insert(cpu, &mut env.temp_store, &mut env.temp_pool, h, idx)?;
-                groups.insert(
-                    key.clone(),
-                    (
-                        key_vals,
-                        aggs.iter().map(|_| AggState::new()).collect(),
-                        idx,
-                    ),
-                );
-                idx
-            }
-        };
-        // Aggregate-state read-modify-write.
-        let state_addr = region.addr + (idx % slots) * 64;
-        cpu.load(state_addr, Dep::Stream);
-        cpu.store(state_addr);
-        let entry = groups.get_mut(&key).expect("group exists");
-        update_states(cpu, &mut entry.1, aggs, row);
-    }
-    // Emit in transient-tree order (deterministic: by hash, then key).
-    let mut collected: Vec<(i64, Vec<u8>, Row, Vec<AggState>)> = groups
-        .into_iter()
-        .map(|(key, (key_vals, states, _))| (hash_bytes(&key) as i64, key, key_vals, states))
-        .collect();
-    collected.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let mut out = Vec::with_capacity(collected.len());
-    for (_, _, key_vals, states) in collected {
-        let mut r = key_vals;
-        r.extend(aggs.iter().zip(&states).map(|(a, s)| s.result(a.f)));
+        groups.finish()
+    } else {
+        tree_aggregate(cpu, env, &rows, group_by, aggs)?
+    };
+    for r in &out {
         env.materialize(cpu, r.len());
-        out.push(r);
     }
     Ok(out)
 }
 
-pub(crate) fn update_states(cpu: &mut Cpu, states: &mut [AggState], aggs: &[AggSpec], row: &Row) {
-    for (state, spec) in states.iter_mut().zip(aggs) {
-        match (&spec.f, &spec.arg) {
-            (AggFn::CountStar, _) | (_, None) => state.bump(cpu),
-            (_, Some(e)) => {
-                let v = e.eval(cpu, row);
-                state.update(cpu, &v);
-            }
-        }
-    }
-}
-
-fn sort<P: PageAccess>(
+/// Lite: ephemeral B-tree keyed by the group key (SQLite's transient index
+/// for GROUP BY). With few groups the tree stays one or two L1D-resident
+/// nodes, so grouping is load/store-dominated, not movement-dominated.
+fn tree_aggregate<P: PageAccess>(
     cpu: &mut Cpu,
     env: &mut Env<'_, P>,
-    input: &Plan,
-    keys: &[(usize, bool)],
-    limit: Option<usize>,
+    rows: &[Row],
+    group_by: &[usize],
+    aggs: &[AggSpec],
 ) -> storage::Result<Vec<Row>> {
-    let rows = run(cpu, env, input)?;
-    let row_bytes = rows.first().map(|r| r.len() as u64 * 16 + 16).unwrap_or(32);
-    let region = env.temp_alloc(
-        cpu,
-        (rows.len().max(16) as u64 * row_bytes).min(env.work_mem.max(row_bytes * 16)),
-    )?;
-    let mut sorter = SimSorter::new_in(region, row_bytes, env.work_mem);
+    let region = env.work.alloc(cpu, 1 << 16)?;
+    let slots = region.len / 64;
+    let mut gt = BTree::create(cpu, &mut env.temp_store)?;
+    let mut groups: HashMap<Vec<u8>, (Row, Vec<AggState>, u64)> = HashMap::new();
     for row in rows {
-        let key: Vec<Value> = key_of_row(&row, keys.iter().map(|&(c, _)| c))?;
-        sorter.push(cpu, key, row);
-    }
-    let desc: Vec<bool> = keys.iter().map(|&(_, d)| d).collect();
-    let mut sorted = sorter.finish(cpu, &desc);
-    if let Some(n) = limit {
-        sorted.truncate(n);
-    }
-    Ok(sorted)
-}
-
-/// Canonical byte encoding of a group key (type-tagged, order-preserving
-/// enough for equality).
-pub fn canon_key(vals: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 9);
-    for v in vals {
-        match v {
-            Value::Int(x) => {
-                out.push(1);
-                out.extend_from_slice(&x.to_le_bytes());
+        let key_vals: Row = key_of_row(row, group_by.iter().copied())?;
+        let key = ops::canon_key(&key_vals);
+        let h = ops::hash_bytes(&key) as i64;
+        let next_idx = groups.len() as u64;
+        let (_, states, idx) = match groups.entry(key) {
+            Entry::Occupied(e) => {
+                // Existing group: one descent to find its row.
+                let _ = gt.seek(cpu, &env.temp_store, &mut env.temp_pool, h);
+                e.into_mut()
             }
-            Value::Float(f) => {
-                out.push(2);
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
+            Entry::Vacant(e) => {
+                gt.insert(cpu, &mut env.temp_store, &mut env.temp_pool, h, next_idx)?;
+                e.insert((key_vals, ops::new_states(aggs), next_idx))
             }
-            Value::Str(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Date(d) => {
-                out.push(4);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Value::Null => out.push(5),
-        }
+        };
+        // Aggregate-state read-modify-write.
+        let state_addr = region.addr + (*idx % slots) * 64;
+        cpu.load(state_addr, Dep::Stream);
+        cpu.store(state_addr);
+        ops::update_states(cpu, states, aggs, row);
     }
-    out
-}
-
-pub(crate) fn hash_bytes(b: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in b {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    // Emit in transient-tree order (deterministic: by hash, then key).
+    let mut collected: Vec<(i64, Vec<u8>, Row, Vec<AggState>)> = groups
+        .into_iter()
+        .map(|(key, (key_vals, states, _))| (ops::hash_bytes(&key) as i64, key, key_vals, states))
+        .collect();
+    collected.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    Ok(collected
+        .into_iter()
+        .map(|(_, _, key_vals, states)| ops::finish_row(key_vals, &states, aggs))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::demo_database;
+    use crate::ops::canon_key;
     use crate::profile::EngineKind;
     use simcore::{ArchConfig, Cpu};
-    use storage::CmpOp;
+    use storage::{AggFn, CmpOp};
 
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
         rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -918,6 +716,52 @@ mod tests {
         let plan = Plan::scan("items").join(inner, 1, 0);
         let rows = assert_engines_agree(&plan);
         assert_eq!(rows.len(), 200);
+    }
+
+    /// `items` with `price` doubled: integral floats 1.0, 3.0, ..., 13.0.
+    fn items_doubled_price() -> Plan {
+        Plan::scan("items").project(vec![
+            Expr::col(0),
+            Expr::col(1),
+            Expr::Bin(
+                storage::BinOp::Mul,
+                Box::new(Expr::col(2)),
+                Box::new(Expr::int(2)),
+            ),
+        ])
+    }
+
+    /// `cats` behind a projection, which sends Lite to its transient
+    /// auto-index instead of the base index.
+    fn projected_cats() -> Plan {
+        Plan::Scan {
+            table: "cats".into(),
+            filter: None,
+            project: Some(vec![Expr::col(0), Expr::col(1)]),
+        }
+    }
+
+    #[test]
+    fn join_on_fractional_float_keys_matches_no_int_key() {
+        // Every price is x.5, so `price = cid` holds for no row. Lite's
+        // index nested loop used to seek the truncated key and match.
+        for inner in [Plan::scan("cats"), projected_cats()] {
+            let plan = Plan::scan("items").join(inner, 2, 0);
+            assert_eq!(assert_engines_agree(&plan), Vec::<Row>::new());
+        }
+    }
+
+    #[test]
+    fn join_on_integral_float_keys_matches_equal_int_keys() {
+        // 2*price in {1, 3, 5, 7, 9} meets a cid for the 144 items with
+        // id % 7 < 5. Hash joins used to bucket Float(1.0) apart from
+        // Int(1) and match nothing.
+        for inner in [Plan::scan("cats"), projected_cats()] {
+            let plan = items_doubled_price().join(inner, 2, 0);
+            let rows = assert_engines_agree(&plan);
+            assert_eq!(rows.len(), 144);
+            assert!(rows.iter().all(|r| r[2].group_eq(&r[3])));
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod dml;
 pub mod dtcm;
 pub mod executor;
 pub mod knobs;
+mod ops;
 pub mod optimizer;
 pub mod plan;
 pub mod profile;

@@ -230,7 +230,7 @@ fn rewrite_scan(
     let Some((col, bounds, used)) = best else {
         return Plan::Scan {
             table,
-            filter: Some(Expr::and_all(conjuncts)),
+            filter: Expr::conjoin(conjuncts),
             project,
         };
     };
@@ -246,11 +246,7 @@ fn rewrite_scan(
         col: col_name,
         lo: bounds.lo,
         hi: bounds.hi,
-        filter: if residual.is_empty() {
-            None
-        } else {
-            Some(Expr::and_all(residual))
-        },
+        filter: Expr::conjoin(residual),
         project,
     }
 }

@@ -28,8 +28,9 @@
 //! [`StorageError::ScratchBusy`] instead of silent aliasing; see
 //! [`Session::checkout_scratch`].
 
+use crate::batch::{self, BatchEnv};
 use crate::db::Database;
-use crate::executor;
+use crate::executor::{self, Env};
 use crate::knobs::Knobs;
 use crate::plan::Plan;
 use crate::profile::EngineKind;
@@ -74,6 +75,20 @@ impl SessionCtx {
     /// Return the region (idempotent).
     pub(crate) fn release(&mut self) {
         self.checked_out = false;
+    }
+
+    /// Run `f` with the temp region checked out, returning it afterwards
+    /// whatever `f` returns.
+    pub(crate) fn with_scratch<T>(
+        &mut self,
+        cpu: &mut Cpu,
+        work_mem: u64,
+        f: impl FnOnce(&mut Cpu, Region) -> storage::Result<T>,
+    ) -> storage::Result<T> {
+        let temp = self.checkout(cpu, work_mem)?;
+        let result = f(cpu, temp);
+        self.release();
+        result
     }
 
     /// Whether the scratch region is currently checked out.
@@ -165,36 +180,27 @@ impl<'a> Session<'a> {
         let profile = self.kind.profile();
         if profile.vectorized {
             self.ensure_columnar(cpu, plan)?;
-            let temp = self.ctx.checkout(cpu, self.knobs.work_mem)?;
-            let result = (|| {
-                let mut env = crate::batch::BatchEnv::new(
+        }
+        let work_mem = self.knobs.work_mem;
+        let (store, pool, catalog) = (&*self.store, &mut *self.pool, &*self.catalog);
+        self.ctx.with_scratch(cpu, work_mem, |cpu, temp| {
+            if profile.vectorized {
+                let mut env = BatchEnv::new(cpu, catalog, profile, work_mem, Some(temp))?;
+                batch::run(cpu, &mut env, plan)
+            } else {
+                let mut env = Env::new(
                     cpu,
-                    self.catalog,
+                    store,
+                    pool,
+                    catalog,
                     profile,
-                    self.knobs.work_mem,
+                    work_mem,
+                    None,
                     Some(temp),
                 )?;
-                crate::batch::run(cpu, &mut env, plan)
-            })();
-            self.ctx.release();
-            return result;
-        }
-        let temp = self.ctx.checkout(cpu, self.knobs.work_mem)?;
-        let result = (|| {
-            let mut env = executor::Env::new(
-                cpu,
-                self.store,
-                self.pool,
-                self.catalog,
-                profile,
-                self.knobs.work_mem,
-                None,
-                Some(temp),
-            )?;
-            executor::run(cpu, &mut env, plan)
-        })();
-        self.ctx.release();
-        result
+                executor::run(cpu, &mut env, plan)
+            }
+        })
     }
 
     /// Build the columnar image of every table `plan` reads, if missing —

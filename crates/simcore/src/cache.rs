@@ -12,12 +12,12 @@
 //! cache therefore stores its state as two parallel arrays instead of an
 //! array of per-way structs:
 //!
-//! * [`Cache::meta`] — one compacted `u32` per way, set-major contiguous:
+//! * `Cache::meta` — one compacted `u32` per way, set-major contiguous:
 //!   `tag << 3 | prefetched << 2 | dirty << 1 | valid`. The residency test
 //!   is a single masked compare against `tag << 3 | 1`. Tags fit easily:
 //!   line numbers are bounded by the arena (`DRAM_BASE + dram_size < 2^32`,
 //!   so line numbers < 2^26) and set indexing only shortens them.
-//! * [`Cache::ranks`] — one `u64` *rank word* per set holding the exact LRU
+//! * `Cache::ranks` — one `u64` *rank word* per set holding the exact LRU
 //!   rank of every way in a 4-bit field (way `w`'s rank is nibble `w`;
 //!   `ways <= 16` is asserted at construction). Rank `0` is least recent,
 //!   `ways - 1` most recent, and the live nibbles always form a permutation
@@ -772,7 +772,7 @@ pub mod oracle {
     //! The pre-SoA cache model, retained verbatim as a differential test
     //! oracle: an array of per-way structs, each holding the packed meta
     //! word and an 8-byte monotonic LRU stamp, with victim selection by
-    //! first-minimum over `valid ? stamp : 0`. The production [`Cache`]
+    //! first-minimum over `valid ? stamp : 0`. The production [`super::Cache`]
     //! must make *identical* decisions from its rank words — the property
     //! tests and `tests/access_equiv.rs` drive both side by side. Not used
     //! by the simulator itself; kept always-compiled so integration tests

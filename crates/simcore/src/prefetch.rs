@@ -201,7 +201,7 @@ impl Streamer {
 
     /// How many upcoming ascending accesses on this cursor's stream are
     /// *silent* (train the stream without proposing anything): the stream
-    /// only fires once `trained` reaches [`TRAIN`], and each silent step adds
+    /// only fires once `trained` reaches `TRAIN`, and each silent step adds
     /// one. A previously descending stream retrains from zero, spending one
     /// extra silent step on the direction flip.
     pub fn silent_ascending_len(&self, cur: &RunCursor) -> u64 {

@@ -28,7 +28,7 @@ pub enum Statement {
         /// Predicate.
         filter: Option<SExpr>,
     },
-    /// EXPLAIN [ANALYZE] SELECT …
+    /// `EXPLAIN [ANALYZE] SELECT …`
     Explain {
         /// True for `EXPLAIN ANALYZE`: execute the query and annotate the
         /// plan with measured per-operator costs.

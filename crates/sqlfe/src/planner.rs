@@ -246,14 +246,9 @@ fn plan_select(sel: &Select, catalog: &Catalog) -> Result<Plan, SqlError> {
                 .col(&cr.column)
                 .ok_or_else(|| SqlError::Plan(format!("no column `{}`", cr.column)))
         };
-        let filter = match pushed {
-            [] => None,
-            parts => {
-                let exprs: Result<Vec<Expr>, SqlError> =
-                    parts.iter().map(|c| to_expr(c, &local)).collect();
-                Some(Expr::and_all(exprs?))
-            }
-        };
+        let exprs: Result<Vec<Expr>, SqlError> =
+            pushed.iter().map(|c| to_expr(c, &local)).collect();
+        let filter = Expr::conjoin(exprs?);
         Ok(Plan::Scan {
             table: src.name.clone(),
             filter,
@@ -275,14 +270,11 @@ fn plan_select(sel: &Select, catalog: &Catalog) -> Result<Plan, SqlError> {
             (rg, lg - scope.sources[level].offset)
         };
         let global = |cr: &ColRef| scope.resolve(cr).map(|(g, _)| g);
-        let filter = match at_level[level].as_slice() {
-            [] => None,
-            parts => {
-                let exprs: Result<Vec<Expr>, SqlError> =
-                    parts.iter().map(|c| to_expr(c, &global)).collect();
-                Some(Expr::and_all(exprs?))
-            }
-        };
+        let exprs: Result<Vec<Expr>, SqlError> = at_level[level]
+            .iter()
+            .map(|c| to_expr(c, &global))
+            .collect();
+        let filter = Expr::conjoin(exprs?);
         plan = Plan::Join {
             left: Box::new(plan),
             right: Box::new(scan_of(level, &pushed[level])?),

@@ -96,11 +96,23 @@ impl Expr {
     pub fn cmp(op: CmpOp, l: Expr, r: Expr) -> Expr {
         Expr::Cmp(op, Box::new(l), Box::new(r))
     }
-    /// Conjunction of a list (must be non-empty).
-    pub fn and_all<I: IntoIterator<Item = Expr>>(parts: I) -> Expr {
-        let mut it = parts.into_iter();
-        let first = it.next().expect("and_all needs at least one term");
-        it.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e)))
+    /// Conjunction of a literal list of terms; an empty list does not
+    /// compile. Lists built at run time go through [`Expr::conjoin`].
+    ///
+    /// ```compile_fail,E0080
+    /// let _ = storage::Expr::and_all([]);
+    /// ```
+    pub fn and_all<const N: usize>(parts: [Expr; N]) -> Expr {
+        const { assert!(N > 0, "and_all needs at least one term") };
+        // Never taken for N > 0; TRUE is the empty conjunction anyway.
+        Expr::conjoin(parts).unwrap_or(Expr::int(1))
+    }
+
+    /// Conjunction of the terms, left-nested; `None` when there are none.
+    pub fn conjoin<I: IntoIterator<Item = Expr>>(parts: I) -> Option<Expr> {
+        parts
+            .into_iter()
+            .reduce(|acc, e| Expr::And(Box::new(acc), Box::new(e)))
     }
 
     /// Evaluate against a row, charging simulated execution work.

@@ -75,6 +75,19 @@ fn sql_joins_and_aggregates_agree_across_engines() {
 }
 
 #[test]
+fn sql_join_of_float_and_int_keys_follows_sql_equality() {
+    // Every demo price is x.5, so `price = cid` holds for no row. Lite's
+    // index nested loop used to seek the truncated price and count 200.
+    let sql = "SELECT COUNT(*) FROM items JOIN cats ON items.price = cats.cid";
+    for kind in EngineKind::ALL {
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let mut db = engines::db::demo_database(&mut cpu, kind).unwrap();
+        let rows = run_sql(&mut cpu, &mut db, sql);
+        assert_eq!(rows, vec![vec![storage::Value::Int(0)]], "{kind:?}");
+    }
+}
+
+#[test]
 fn sql_dml_roundtrip() {
     let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
     let mut db = build_tpch_db(
