@@ -518,15 +518,8 @@ fn index_nl_join<P: PageAccess>(
             if !ops::keys_match(col(rrow, right_col)?, lkey) {
                 continue;
             }
-            emit_joined(
-                cpu,
-                env,
-                &lrow,
-                rrow.iter().cloned(),
-                filter,
-                project,
-                &mut out,
-            );
+            let rvals = rrow.iter().cloned();
+            emit_joined(cpu, env, &lrow, rvals, filter, project, &mut out);
         }
     }
     Ok(out)
