@@ -1,11 +1,12 @@
 //! Wall-clock throughput benchmark for the simcore batched-access fast path.
 //!
-//! Replays six access traces through the scalar `Cpu::load`/`Cpu::store`
-//! verbs and through `Cpu::access_run`, and reports simulated accesses per
-//! host second for each, plus the speedup. The two replays issue the
-//! *identical* access sequence (the equivalence is proven bit-exact by
-//! `tests/access_equiv.rs`); this binary measures only how fast the
-//! simulator gets through it. Each arm runs three times with the arms
+//! Replays six access traces through the per-access reference verbs
+//! (`Cpu::load_reference`/`Cpu::store_reference`, the frozen scalar step
+//! behind the public `load`/`store`) and through `Cpu::access_run`, and
+//! reports simulated accesses per host second for each, plus the speedup.
+//! The two replays issue the *identical* access sequence (the equivalence
+//! is proven bit-exact by `tests/access_equiv.rs`); this binary measures
+//! only how fast the simulator gets through it. Each arm runs three times with the arms
 //! alternated, and the fastest rep per arm is reported — single runs on a
 //! shared host swing far too much to gate on.
 //!
@@ -197,7 +198,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             for _ in 0..passes {
                 for i in 0..hot_lines {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    cpu.load_reference(base + i * LINE, Dep::Stream);
                 }
             }
         },
@@ -218,7 +219,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             for _ in 0..cold_passes {
                 for i in 0..cold_lines {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    cpu.load_reference(base + i * LINE, Dep::Stream);
                 }
             }
         },
@@ -238,7 +239,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             let mut rng = Rng(0xc4a5e);
             for _ in 0..chases {
-                cpu.load(base + chase_at(&mut rng), Dep::Chase);
+                cpu.load_reference(base + chase_at(&mut rng), Dep::Chase);
             }
         },
         |cpu, base| {
@@ -260,14 +261,14 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
             let mut rng = Rng(0x313ed);
             for _ in 0..iters {
                 for i in 0..64 {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    cpu.load_reference(base + i * LINE, Dep::Stream);
                 }
-                cpu.load(base + chase_at(&mut rng), Dep::Chase);
+                cpu.load_reference(base + chase_at(&mut rng), Dep::Chase);
                 for _ in 0..32 {
-                    cpu.load(base + 8 * LINE, Dep::Stream);
+                    cpu.load_reference(base + 8 * LINE, Dep::Stream);
                 }
                 for i in 0..64 {
-                    cpu.store(base + i * LINE);
+                    cpu.store_reference(base + i * LINE);
                 }
             }
         },
@@ -297,9 +298,9 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
             for p in 0..storm_passes {
                 for k in 0..storm_slots {
                     if (p + k) % 3 == 0 {
-                        cpu.store(base + k * 4096);
+                        cpu.store_reference(base + k * 4096);
                     } else {
-                        cpu.load(base + k * 4096, Dep::Stream);
+                        cpu.load_reference(base + k * 4096, Dep::Stream);
                     }
                 }
             }
@@ -336,13 +337,13 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                         + 2 * lane_bytes
                         + ((p * col_batches + b) * batch_lines % ring_lines) * LINE;
                     for i in 0..batch_lines {
-                        cpu.load(pred + i * LINE, Dep::Stream);
+                        cpu.load_reference(pred + i * LINE, Dep::Stream);
                     }
                     for i in 0..batch_lines {
-                        cpu.load(lane + i * LINE, Dep::Stream);
+                        cpu.load_reference(lane + i * LINE, Dep::Stream);
                     }
                     for i in 0..batch_lines {
-                        cpu.store(out + i * LINE);
+                        cpu.store_reference(out + i * LINE);
                     }
                 }
             }

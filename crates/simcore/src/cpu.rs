@@ -10,6 +10,21 @@
 //!   bytes in the [`Arena`],
 //! * [`Cpu::idle_c0`] / [`Cpu::idle_deep`] — let simulated wall time pass
 //!   without work (I/O waits, the background-calibration "sleep 1").
+//!
+//! Every access verb has two implementations with bit-identical results.
+//! The *fast step* prices from a table built once per operating point and
+//! walks the hierarchy fused: the run verbs ([`Cpu::access_run`],
+//! [`Cpu::copy_run`], the repeat verbs) batch whole runs, and the single
+//! verbs (`load`, `store`, `exec_n` and everything built on them) take a
+//! one-access step. The *reference step* derives every price and latency
+//! per call and walks the hierarchy one level at a time. It runs with the
+//! fast path off ([`set_fastpath`]), for an access that may reach a
+//! governor-window edge or sampler tick, for a stream load or store under
+//! a fillable chase shadow and for chase loads of TCM lines. It stays
+//! callable per machine as the doc-hidden `load_reference` /
+//! `store_reference` / `exec_n_reference`, the baseline that the
+//! equivalence tests and perfbench's scalar arm compare against
+//! (DESIGN.md §9).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -30,7 +45,7 @@ static RUN_REPLAYED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide switch for the batched/fused fast paths. On by default;
-/// turned off, every run verb routes through the scalar per-access path.
+/// turned off, every verb routes through the scalar reference step.
 /// The results are bit-identical either way — the switch exists so
 /// benchmarks can measure the speedup end-to-end and tests can prove the
 /// equivalence on whole workloads.
@@ -47,7 +62,13 @@ fn fastpath_enabled() -> bool {
 }
 
 /// Fast-path effectiveness totals (see [`take_run_stats`] /
-/// [`Cpu::run_stats`]). All four count *lines* (accesses).
+/// [`Cpu::run_stats`]). All four count *lines* (accesses) of the run verbs
+/// ([`Cpu::access_run`], [`Cpu::copy_run`] and the repeat verbs after their
+/// first access). The single-access verbs take the same fused steps but are
+/// not counted: the counters measure how well runs batch, and counting
+/// single accesses would move every published `simcore.lines_*` figure and
+/// `EXPLAIN ANALYZE`'s `fast=` column without saying anything about
+/// batching.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// L1D/TCM hits charged through the batched hot path.
@@ -195,6 +216,8 @@ struct Prices {
     pf_l2: Price,
     /// `pf_l3_price(row_hit, hz)`, indexed by `row_hit as usize`.
     pf_l3: [Price; 2],
+    /// Per-op `fetch + op_price(class)`, indexed by `ExecOp as usize`.
+    exec: [Price; 5],
     /// Writeback prices for L1d/L2/L3.
     wb: [Price; 3],
     /// `latency / mlp` stream stall per level.
@@ -714,11 +737,23 @@ impl Cpu {
         }
         let one = busy(1.0);
         let stream_step_s = one.dt + stream_stall.iter().map(|s| s.dt).fold(0.0, f64::max);
+        let fetch = self.fetch_price_eff(hz);
+        let mut exec = [Price::default(); 5];
+        for op in [
+            ExecOp::Add,
+            ExecOp::Nop,
+            ExecOp::Mul,
+            ExecOp::Branch,
+            ExecOp::Generic,
+        ] {
+            exec[op as usize] =
+                crate::energy::add_price(fetch, self.model.op_price(op.class(), hz));
+        }
         Prices {
             at: Some((self.pstate, self.ifetch_discount)),
             hz,
             bg,
-            fetch: self.fetch_price_eff(hz),
+            fetch,
             decode: self.model.decode_switch_price(hz),
             stall_unit: self.model.stall_price(hz),
             store: [
@@ -731,6 +766,7 @@ impl Cpu {
                 self.model.pf_l3_price(false, hz),
                 self.model.pf_l3_price(true, hz),
             ],
+            exec,
             wb: [
                 self.model.writeback_price(HitLevel::L1d, hz),
                 self.model.writeback_price(HitLevel::L2, hz),
@@ -913,22 +949,34 @@ impl Cpu {
         self.charge_known_run(write, true, k);
     }
 
-    /// Route one access through the full scalar path (fallback bookkeeping)
+    /// Route one access through the reference step (fallback bookkeeping)
     /// — the step a run verb takes for an access that may reach a
     /// governor-window edge or sampler tick, or that no fast regime covers.
     #[inline]
     fn scalar_step(&mut self, line: u64, write: bool, dep: Dep) {
         self.run_fallbacks += 1;
         if write {
-            self.store(line);
+            self.store_reference(line);
         } else {
-            self.load(line, dep);
+            self.load_reference(line, dep);
+        }
+    }
+
+    /// Count one fused step of a run verb: an L1D hit as a batched line, a
+    /// miss as a cold-batched one.
+    #[inline]
+    fn count_fused(&mut self, hit: bool) {
+        if hit {
+            self.run_batched_lines += 1;
+        } else {
+            self.run_cold_batched_lines += 1;
         }
     }
 
     /// One chase load of a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::load`] with [`Dep::Chase`] under the fast-path preconditions.
-    fn chase_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
+    /// the reference load with [`Dep::Chase`] under the fast-path
+    /// preconditions. Returns whether it hit L1D.
+    fn chase_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         // Chase lines are random: start pulling their (host-side) L2/L3 set
         // slices now so they arrive while the settle arithmetic runs.
         self.hier.prefetch_sets(line);
@@ -950,48 +998,44 @@ impl Cpu {
         // Re-arm the shadow.
         self.pending = self.prices.chase_pending[ix];
         self.fillable = self.prices.chase_fillable[ix];
-        if matches!(level, HitLevel::L1d) {
-            self.run_batched_lines += 1;
-        } else {
-            self.run_cold_batched_lines += 1;
-        }
+        matches!(level, HitLevel::L1d)
     }
 
     /// One stream load of a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::load`] with [`Dep::Stream`] under the fast-path preconditions
-    /// (plus `fillable == 0`, so `busy_work` reduces to `advance`).
-    fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
+    /// the reference load with [`Dep::Stream`] under the fast-path
+    /// preconditions (plus `fillable == 0`, so `busy_work` reduces to
+    /// `advance`). Returns whether it hit L1D.
+    fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
         self.busy_fused(self.prices.issue);
-        if matches!(level, HitLevel::L1d) {
-            self.run_batched_lines += 1;
-        } else {
+        let hit = matches!(level, HitLevel::L1d);
+        if !hit {
             // MLP-amortized exposed latency.
             self.stall_fast(self.prices.stream_stall[ix]);
-            self.run_cold_batched_lines += 1;
         }
+        hit
     }
 
-    /// One store to a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::store`] under the fast-path preconditions (plus
-    /// `fillable == 0`).
-    fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
+    /// One store to a non-TCM `line` through the fused walk — exactly the
+    /// reference store under the fast-path preconditions (plus
+    /// `fillable == 0`). Returns whether it went without a write-allocate
+    /// fill.
+    fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
         self.charge_fused_access(1, self.prices.store[0], &r);
         self.busy_fused(self.prices.one);
-        if let Some(level) = allocated {
-            let ix = level_ix(level);
-            // Write-allocate fill: movement energy + softened latency.
-            self.meter
-                .charge(self.prices.load[ix][r.dram_row_hit as usize]);
-            self.stall_fast(self.prices.alloc_stall[ix]);
-            self.run_cold_batched_lines += 1;
-        } else {
-            self.run_batched_lines += 1;
-        }
+        let Some(level) = allocated else {
+            return true;
+        };
+        let ix = level_ix(level);
+        // Write-allocate fill: movement energy + softened latency.
+        self.meter
+            .charge(self.prices.load[ix][r.dram_row_hit as usize]);
+        self.stall_fast(self.prices.alloc_stall[ix]);
+        false
     }
 
     /// Consume the rest of a run through the fused cold walk, starting at a
@@ -1009,10 +1053,13 @@ impl Cpu {
             if !budget.fits(self.time_s, self.prices.stream_step_s) {
                 self.scalar_step(*line, write, Dep::Stream);
                 budget = self.resync(&mut ctx);
-            } else if write {
-                self.store_step_fast(*line, &mut ctx);
             } else {
-                self.stream_step_fast(*line, &mut ctx);
+                let hit = if write {
+                    self.store_step_fast(*line, &mut ctx)
+                } else {
+                    self.stream_step_fast(*line, &mut ctx)
+                };
+                self.count_fused(hit);
             }
             *line += crate::LINE;
             *left -= 1;
@@ -1068,13 +1115,13 @@ impl Cpu {
     /// sequence outright. With the governor on or a timeline sampler
     /// attached, every regime runs only as far as its accesses provably end
     /// before the next governor-window edge or sampler tick (DESIGN.md §9,
-    /// "Time budget"); the access that may reach the edge takes the scalar
-    /// [`Cpu::load`]/[`Cpu::store`] step, as do accesses under an unfilled
-    /// chase shadow, TCM lines of a chase run, and every access with the
-    /// fast path disabled via [`set_fastpath`]. For any access sequence the
-    /// PMU counters, RAPL joules, timeline cycles, governor P-states and
-    /// timeline samples are bit-identical to issuing the same accesses one
-    /// at a time.
+    /// "Time budget"); the access that may reach the edge takes the
+    /// reference step, as do accesses under an unfilled chase shadow, TCM
+    /// lines of a chase run, and every access with the fast path disabled
+    /// via [`set_fastpath`]. For any access sequence the PMU counters, RAPL
+    /// joules, timeline cycles, governor P-states and timeline samples are
+    /// bit-identical to issuing the same accesses one at a time through the
+    /// reference step.
     pub fn access_run(&mut self, addr: u64, lines: u64, write: bool, dep: Dep) {
         let mut line = addr & !(crate::LINE - 1);
         let mut left = lines;
@@ -1098,7 +1145,8 @@ impl Cpu {
             while left > 0 {
                 let step_s = self.pending / self.prices.hz + self.prices.one.dt;
                 if line >= tcm_limit && budget.fits(self.time_s, step_s) {
-                    self.chase_step_fast(line, &mut ctx);
+                    let hit = self.chase_step_fast(line, &mut ctx);
+                    self.count_fused(hit);
                 } else {
                     self.scalar_step(line, write, dep);
                     budget = self.resync(&mut ctx);
@@ -1219,8 +1267,10 @@ impl Cpu {
                 && self.fillable == 0.0
                 && budget.fits(self.time_s, 2.0 * self.prices.stream_step_s)
             {
-                self.stream_step_fast(line, &mut ctx);
-                self.store_step_fast(line, &mut ctx);
+                let hit = self.stream_step_fast(line, &mut ctx);
+                self.count_fused(hit);
+                let hit = self.store_step_fast(line, &mut ctx);
+                self.count_fused(hit);
             } else {
                 self.scalar_step(line, false, Dep::Stream);
                 self.scalar_step(line, true, Dep::Stream);
@@ -1245,7 +1295,8 @@ impl Cpu {
         if n == 0 {
             return;
         }
-        // First access resolves residency/allocation through the full path.
+        // First access resolves residency/allocation through a full walk
+        // (the single verb: its fast step, or the reference step).
         if write {
             self.store(addr);
         } else {
@@ -1283,12 +1334,117 @@ impl Cpu {
         }
     }
 
+    /// The one-access fast step of [`Cpu::load`] / [`Cpu::store`]: prices
+    /// from the table, then a chase load through the fused chase step, or a
+    /// TCM access or L1D hit charged as one known hit, or an L1D miss
+    /// through the fused stream or store step. Returns `false`, having
+    /// changed nothing, when the access must take the reference step: the
+    /// fast path is off, the access may reach a governor-window edge or
+    /// sampler tick, a stream load or store would fill a chase shadow, or a
+    /// chase load targets a TCM line.
+    #[inline]
+    fn access_fast(&mut self, addr: u64, write: bool, dep: Dep) -> bool {
+        if !fastpath_enabled() {
+            return false;
+        }
+        self.ensure_prices();
+        let line = addr & !(crate::LINE - 1);
+        let tcm = line < self.hier.tcm_limit();
+        if dep == Dep::Chase && !write {
+            let step_s = self.pending / self.prices.hz + self.prices.one.dt;
+            if tcm || !self.budget().fits(self.time_s, step_s) {
+                return false;
+            }
+            let mut ctx = self.hier.cold_ctx();
+            self.chase_step_fast(line, &mut ctx);
+            return true;
+        }
+        if self.fillable > 0.0 || !self.budget().fits(self.time_s, self.prices.stream_step_s) {
+            return false;
+        }
+        if tcm {
+            self.charge_tcm_run(write, 1);
+        } else if self.hier.l1_hit_run(line, 1, write, &mut self.pmu) == 1 {
+            self.charge_known_run(write, false, 1);
+        } else {
+            let mut ctx = self.hier.cold_ctx();
+            if write {
+                self.store_step_fast(line, &mut ctx);
+            } else {
+                self.stream_step_fast(line, &mut ctx);
+            }
+        }
+        true
+    }
+
+    /// The fast step of [`Cpu::exec_n`]: the reference step's charges with
+    /// the fetch + op price from the table, then `busy_work`'s shadow
+    /// overlap and `advance` replayed operand for operand. Returns `false`,
+    /// having changed nothing, when the fast path is off or the ops may
+    /// reach a governor-window edge or sampler tick.
+    #[inline]
+    fn exec_fast(&mut self, op: ExecOp, n: u64) -> bool {
+        if !fastpath_enabled() {
+            return false;
+        }
+        self.ensure_prices();
+        let c = self.exec_cycles(op, n);
+        let dt = c / self.prices.hz;
+        if !self.budget().fits(self.time_s, dt) {
+            return false;
+        }
+        self.pmu.add(Event::Instructions, n);
+        self.pmu.add(op.event(), n);
+        let class = 2 + op.event() as u8;
+        if self.last_class != class && self.last_class != u8::MAX {
+            self.meter.charge(self.prices.decode);
+        }
+        self.last_class = class;
+        self.meter.charge(crate::energy::scale_price(
+            self.prices.exec[op as usize],
+            n as f64,
+        ));
+        if self.fillable > 0.0 {
+            let overlap = self.fillable.min(c);
+            self.pending -= overlap;
+            self.fillable -= overlap;
+        }
+        self.busy_cycles += c;
+        self.time_s += dt;
+        self.meter.charge_power(self.prices.bg, dt);
+        self.win_active_s += dt;
+        self.credit_sampler(dt, 1);
+        true
+    }
+
+    /// Busy cycles of `n` ops of `op` (the ARM core issues at half the
+    /// width).
+    #[inline]
+    fn exec_cycles(&self, op: ExecOp, n: u64) -> f64 {
+        let width_scale = if self.arch.kind == ArchKind::Arm {
+            2.0
+        } else {
+            1.0
+        };
+        op.cycles(width_scale) * n as f64
+    }
+
     // ------------------------------------------------------------------
     // The four verbs
     // ------------------------------------------------------------------
 
     /// Simulate one load of the line containing `addr`.
     pub fn load(&mut self, addr: u64, dep: Dep) {
+        if !self.access_fast(addr, false, dep) {
+            self.load_reference(addr, dep);
+        }
+    }
+
+    /// The reference step of [`Cpu::load`]: every price, latency and
+    /// hierarchy transition derived on the spot. Bit-identical to `load`;
+    /// kept callable for equivalence tests and benchmark baselines.
+    #[doc(hidden)]
+    pub fn load_reference(&mut self, addr: u64, dep: Dep) {
         if dep == Dep::Chase {
             self.settle();
         }
@@ -1321,6 +1477,14 @@ impl Cpu {
 
     /// Simulate one store to the line containing `addr`.
     pub fn store(&mut self, addr: u64) {
+        if !self.access_fast(addr, true, Dep::Stream) {
+            self.store_reference(addr);
+        }
+    }
+
+    /// The reference step of [`Cpu::store`] (see `load_reference`).
+    #[doc(hidden)]
+    pub fn store_reference(&mut self, addr: u64) {
         let (r, allocated) = self.hier.store(addr, &mut self.pmu);
         let hz = self.freq_hz();
         self.pmu.bump(Event::Instructions);
@@ -1367,15 +1531,18 @@ impl Cpu {
 
     /// Simulate `n` identical execution-unit ops.
     pub fn exec_n(&mut self, op: ExecOp, n: u64) {
+        if n > 0 && !self.exec_fast(op, n) {
+            self.exec_n_reference(op, n);
+        }
+    }
+
+    /// The reference step of [`Cpu::exec_n`] (see `load_reference`).
+    #[doc(hidden)]
+    pub fn exec_n_reference(&mut self, op: ExecOp, n: u64) {
         if n == 0 {
             return;
         }
-        let width_scale = if self.arch.kind == ArchKind::Arm {
-            2.0
-        } else {
-            1.0
-        };
-        let c = op.cycles(width_scale) * n as f64;
+        let c = self.exec_cycles(op, n);
         self.pmu.add(Event::Instructions, n);
         self.pmu.add(op.event(), n);
         let hz = self.freq_hz();
@@ -1684,10 +1851,10 @@ mod tests {
         // line.
         let mut a = cpu();
         let ra = a.alloc(64).unwrap();
-        a.load(ra.addr, Dep::Stream); // make resident
+        a.load_reference(ra.addr, Dep::Stream); // make resident
         let ta = a.begin_measure();
         for _ in 0..500 {
-            a.load(ra.addr, Dep::Stream);
+            a.load_reference(ra.addr, Dep::Stream);
         }
         let ma = a.end_measure(ta);
 
@@ -1714,16 +1881,16 @@ mod tests {
         let mut b = cpu();
         let rb = b.alloc(16 * 1024).unwrap();
         for i in 0..256u64 {
-            a.load(ra.addr + i * 64, Dep::Stream);
+            a.load_reference(ra.addr + i * 64, Dep::Stream);
             b.load(rb.addr + i * 64, Dep::Stream);
         }
         let ta = a.begin_measure();
         for _ in 0..4 {
             for i in 0..256u64 {
-                a.load(ra.addr + i * 64, Dep::Stream);
+                a.load_reference(ra.addr + i * 64, Dep::Stream);
             }
             for i in 0..256u64 {
-                a.store(ra.addr + i * 64);
+                a.store_reference(ra.addr + i * 64);
             }
         }
         let ma = a.end_measure(ta);
@@ -1761,16 +1928,16 @@ mod tests {
                 c.access_run(r.addr + 64, 128, false, Dep::Stream);
             } else {
                 for i in 0..2048u64 {
-                    c.load(r.addr + i * 64, Dep::Stream);
+                    c.load_reference(r.addr + i * 64, Dep::Stream);
                 }
                 for i in 0..64u64 {
-                    c.store(r.addr + i * 4096);
+                    c.store_reference(r.addr + i * 4096);
                 }
                 for i in 0..16u64 {
-                    c.load(r.addr + i * 64, Dep::Chase);
+                    c.load_reference(r.addr + i * 64, Dep::Chase);
                 }
                 for i in 0..128u64 {
-                    c.load(r.addr + 64 + i * 64, Dep::Stream);
+                    c.load_reference(r.addr + 64 + i * 64, Dep::Stream);
                 }
             }
             (c.end_measure(t), c)
@@ -1791,7 +1958,7 @@ mod tests {
             c.set_prefetch(true);
             let r = c.alloc(16 * 1024).unwrap();
             for i in 0..256u64 {
-                c.load(r.addr + i * 64, Dep::Stream);
+                c.load_reference(r.addr + i * 64, Dep::Stream);
             }
             c.set_governor(true);
             c.set_governor_interval(15e-6);
@@ -1803,10 +1970,10 @@ mod tests {
                     c.access_run(r.addr, 256, true, Dep::Stream);
                 } else {
                     for i in 0..256u64 {
-                        c.load(r.addr + i * 64, Dep::Stream);
+                        c.load_reference(r.addr + i * 64, Dep::Stream);
                     }
                     for i in 0..256u64 {
-                        c.store(r.addr + i * 64);
+                        c.store_reference(r.addr + i * 64);
                     }
                 }
             }
@@ -1868,6 +2035,28 @@ mod tests {
         let m = c.end_measure(t);
         assert_eq!(m.pmu.get(Event::StoreIssued), 100);
         assert_eq!(m.pmu.get(Event::L1dStoreHit), 100);
+    }
+
+    #[test]
+    fn single_verbs_take_the_fast_step_uncounted() {
+        // Only the fast step prices from the table (the reference step
+        // derives every price on the spot), and no single verb counts run
+        // lines — a cold miss, a warm hit, a chase and ops alike.
+        type Verb = fn(&mut Cpu, u64);
+        let verbs: [(&str, Verb); 4] = [
+            ("load", |c, a| c.load(a, Dep::Stream)),
+            ("chase load", |c, a| c.load(a, Dep::Chase)),
+            ("store", |c, a| c.store(a)),
+            ("exec_n", |c, _| c.exec_n(ExecOp::Mul, 3)),
+        ];
+        for (what, verb) in verbs {
+            let mut c = cpu();
+            let r = c.alloc(4096).unwrap();
+            verb(&mut c, r.addr);
+            verb(&mut c, r.addr);
+            assert!(c.prices.at.is_some(), "{what} must take the fast step");
+            assert_eq!(c.run_stats(), RunStats::default(), "{what} counted lines");
+        }
     }
 
     #[test]

@@ -1,27 +1,33 @@
-//! Differential test for the batched memory-access fast path.
+//! Differential test for the memory-access fast path.
 //!
-//! `Cpu::access_run` / `Cpu::load_repeat` / `Cpu::store_repeat` promise that
-//! for *any* access sequence the PMU counters, RAPL joules and timeline
-//! cycles are bit-identical to issuing the same accesses one at a time
-//! through the scalar verbs. This test replays traces twice — once expanded
-//! to scalar `load`/`store`, once through the batched entry points — and
-//! compares the two `Measurement`s exactly (`f64::to_bits`, not an epsilon).
+//! `Cpu::access_run` / `Cpu::copy_run` / the repeat verbs, and the single
+//! verbs `Cpu::load` / `Cpu::store` / `Cpu::exec_n` themselves, promise
+//! that for *any* access sequence the PMU counters, RAPL joules and
+//! timeline cycles are bit-identical to issuing the same accesses one at a
+//! time through the reference step. This test replays traces twice — once
+//! expanded to the reference verbs (`load_reference`, `store_reference`,
+//! `exec_n_reference`), once through the public entry points — and compares
+//! the two `Measurement`s exactly (`f64::to_bits`, not an epsilon).
 //!
 //! Traces cover the randomized case plus the adversarial shapes that have
 //! historically broken "fast path equals slow path" claims: set-conflict
 //! strides that evict mid-run, cold runs crossing DRAM row boundaries with
-//! the prefetcher on, runs straddling the TCM window on the ARM part,
-//! chase shadows draining into a run, and P-state changes between runs.
+//! the prefetcher on, runs and single accesses straddling the TCM window on
+//! the ARM part, chase shadows draining into a run or filled by op blocks,
+//! and P-state changes between runs.
 //!
-//! With the EIST governor on or a timeline sampler attached, batching runs
-//! only up to the next governor-window edge or sampler tick, and the access
-//! that may reach it takes the scalar step. The edge traces put an edge
-//! inside every fast regime — hot batch, replay, repeat, fused cold segment,
-//! chase step, copy — and `check` then also compares every timeline sample
-//! and the final P-state bit for bit, so a governor tick or sample taken one
-//! access late fails the test.
+//! With the EIST governor on or a timeline sampler attached, the fast steps
+//! run only up to the next governor-window edge or sampler tick, and the
+//! access that may reach it takes the reference step. The edge traces put
+//! an edge inside every fast regime — hot batch, replay, repeat, fused cold
+//! segment, chase step, copy, single access — and `check` then also
+//! compares every timeline sample and the final P-state bit for bit, so a
+//! governor tick or sample taken one access late fails the test.
 
-use simcore::{ArchConfig, Cpu, Dep, ExecOp, Measurement, PState, RunStats, TimelineSample, LINE};
+mod common;
+
+use common::{assert_identical, assert_same_samples};
+use simcore::{ArchConfig, Cpu, Dep, ExecOp, PState, RunStats, LINE};
 
 /// xorshift64* — deterministic, no external dependency.
 struct Rng(u64);
@@ -77,14 +83,16 @@ enum Op {
         addr: u64,
         lines: u64,
     },
-    Exec(ExecOp),
+    /// `n` ops of one class (`Cpu::exec_n`).
+    Exec(ExecOp, u64),
     SetPstate(u8),
     /// C0 idle for the given seconds: with the governor on, a long gap
     /// decays the P-state, and the following work ramps it back.
     Idle(f64),
 }
 
-/// Replay through the scalar verbs only (the reference semantics).
+/// Replay through the reference verbs only (the reference semantics: the
+/// per-access step every fast step must reproduce bit for bit).
 fn replay_scalar(cpu: &mut Cpu, ops: &[Op]) {
     for &op in ops {
         match op {
@@ -97,31 +105,31 @@ fn replay_scalar(cpu: &mut Cpu, ops: &[Op]) {
                 let base = addr & !(LINE - 1);
                 for i in 0..lines {
                     if write {
-                        cpu.store(base + i * LINE);
+                        cpu.store_reference(base + i * LINE);
                     } else {
-                        cpu.load(base + i * LINE, dep);
+                        cpu.load_reference(base + i * LINE, dep);
                     }
                 }
             }
             Op::Repeat { addr, n, write } => {
                 for _ in 0..n {
                     if write {
-                        cpu.store(addr);
+                        cpu.store_reference(addr);
                     } else {
-                        cpu.load(addr, Dep::Stream);
+                        cpu.load_reference(addr, Dep::Stream);
                     }
                 }
             }
             Op::Copy { addr, lines } => {
                 let base = addr & !(LINE - 1);
                 for i in 0..lines {
-                    cpu.load(base + i * LINE, Dep::Stream);
-                    cpu.store(base + i * LINE);
+                    cpu.load_reference(base + i * LINE, Dep::Stream);
+                    cpu.store_reference(base + i * LINE);
                 }
             }
-            Op::Load { addr, dep } => cpu.load(addr, dep),
-            Op::Store { addr } => cpu.store(addr),
-            Op::Exec(op) => cpu.exec(op),
+            Op::Load { addr, dep } => cpu.load_reference(addr, dep),
+            Op::Store { addr } => cpu.store_reference(addr),
+            Op::Exec(op, n) => cpu.exec_n_reference(op, n),
             Op::SetPstate(n) => cpu.set_pstate(PState(n)),
             Op::Idle(s) => cpu.idle_c0(s),
         }
@@ -148,49 +156,9 @@ fn replay_batched(cpu: &mut Cpu, ops: &[Op]) {
             Op::Copy { addr, lines } => cpu.copy_run(addr, lines),
             Op::Load { addr, dep } => cpu.load(addr, dep),
             Op::Store { addr } => cpu.store(addr),
-            Op::Exec(op) => cpu.exec(op),
+            Op::Exec(op, n) => cpu.exec_n(op, n),
             Op::SetPstate(n) => cpu.set_pstate(PState(n)),
             Op::Idle(s) => cpu.idle_c0(s),
-        }
-    }
-}
-
-/// Bitwise equality: counters are integers, meters must match to the bit.
-fn assert_identical(scalar: &Measurement, batched: &Measurement, what: &str) {
-    assert_eq!(scalar.pmu, batched.pmu, "{what}: PMU counters diverged");
-    for (name, a, b) in [
-        ("core_j", scalar.rapl.core_j, batched.rapl.core_j),
-        ("package_j", scalar.rapl.package_j, batched.rapl.package_j),
-        ("memory_j", scalar.rapl.memory_j, batched.rapl.memory_j),
-        ("time_s", scalar.time_s, batched.time_s),
-        ("cycles", scalar.cycles, batched.cycles),
-    ] {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{what}: {name} diverged ({a} vs {b})"
-        );
-    }
-}
-
-/// Bitwise equality of two timelines: every sample's time, P-state,
-/// utilization and cumulative RAPL reading.
-fn assert_same_samples(scalar: &[TimelineSample], batched: &[TimelineSample], what: &str) {
-    assert_eq!(scalar.len(), batched.len(), "{what}: sample count diverged");
-    for (i, (a, b)) in scalar.iter().zip(batched).enumerate() {
-        assert_eq!(a.pstate, b.pstate, "{what}: sample {i} P-state diverged");
-        for (name, x, y) in [
-            ("t_s", a.t_s, b.t_s),
-            ("utilization", a.utilization, b.utilization),
-            ("core_j", a.rapl.core_j, b.rapl.core_j),
-            ("package_j", a.rapl.package_j, b.rapl.package_j),
-            ("memory_j", a.rapl.memory_j, b.rapl.memory_j),
-        ] {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: sample {i} {name} diverged ({x} vs {y})"
-            );
         }
     }
 }
@@ -220,6 +188,17 @@ fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &
         _ => unreachable!("both CPUs ran the same setup"),
     }
     batched_cpu.run_stats()
+}
+
+/// A uniformly drawn op class.
+fn exec_op(rng: &mut Rng) -> ExecOp {
+    match rng.below(5) {
+        0 => ExecOp::Add,
+        1 => ExecOp::Nop,
+        2 => ExecOp::Mul,
+        3 => ExecOp::Branch,
+        _ => ExecOp::Generic,
+    }
 }
 
 /// A randomized mix of runs, repeats, scalar accesses, exec ops and
@@ -252,13 +231,7 @@ fn random_trace(seed: u64, len: usize) -> Vec<Op> {
                 dep: if rng.flip() { Dep::Chase } else { Dep::Stream },
             },
             7 => Op::Store { addr },
-            8 => Op::Exec(match rng.below(5) {
-                0 => ExecOp::Add,
-                1 => ExecOp::Nop,
-                2 => ExecOp::Mul,
-                3 => ExecOp::Branch,
-                _ => ExecOp::Generic,
-            }),
+            8 => Op::Exec(exec_op(&mut rng), 1),
             _ => Op::SetPstate(8 + (rng.below(29) as u8)),
         });
     }
@@ -541,7 +514,7 @@ fn edge_inside_hot_batch_is_identical() {
     for i in 0..6u64 {
         ops.push(run(0, 480, false, Dep::Stream));
         ops.push(run(0, 480, true, Dep::Stream));
-        ops.push(Op::Exec(ExecOp::Mul));
+        ops.push(Op::Exec(ExecOp::Mul, 1));
         ops.push(run(i, 400, false, Dep::Stream));
     }
     let st = check(
@@ -763,6 +736,215 @@ fn randomized_traces_with_edges_are_bit_identical() {
             &ops,
             &format!("random with edges, seed {seed}"),
         );
+    }
+}
+
+/// A single load of line `line` of the test region.
+fn load(line: u64, dep: Dep) -> Op {
+    Op::Load {
+        addr: (1 << 21) + line * LINE,
+        dep,
+    }
+}
+
+/// A single store to line `line` of the test region.
+fn store(line: u64) -> Op {
+    Op::Store {
+        addr: (1 << 21) + line * LINE,
+    }
+}
+
+/// How many timeline samples `ops` emit on a fresh machine under `setup`.
+fn sample_count(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op]) -> usize {
+    let mut cpu = Cpu::new(arch());
+    cpu.alloc(1 << 21).unwrap();
+    setup(&mut cpu);
+    replay_batched(&mut cpu, ops);
+    cpu.take_sampler().map_or(0, |s| s.samples.len())
+}
+
+#[test]
+fn single_verbs_at_edges_are_identical() {
+    // Only single loads, stores and op blocks, under 54- and 36-cycle
+    // windows: cold misses (up to ~33 cycles each), warm hits, chases and
+    // blocks of up to 96 cycles all straddle edges, and idle gaps decay the
+    // governor so that prices change between single accesses too.
+    let mut ops = Vec::new();
+    for pass in 0..3u64 {
+        ops.push(Op::Idle(2e-7));
+        for i in 0..300u64 {
+            ops.push(load(i, Dep::Stream));
+            if i % 5 == 0 {
+                ops.push(store(512 + pass * 1000 + i));
+            }
+            if i % 17 == 0 {
+                ops.push(load(4096 + i * 67 + pass, Dep::Chase));
+            }
+            if i % 7 == 0 {
+                ops.push(Op::Exec(ExecOp::Mul, 1 + i % 96));
+            }
+        }
+    }
+    for prefetch in [false, true] {
+        let what = format!("single verbs at edges, prefetch {prefetch}");
+        let setup = edges(1.5e-8, 1e-8, prefetch);
+        check(ArchConfig::intel_i7_4790, &setup, &ops, &what);
+        let n = sample_count(ArchConfig::intel_i7_4790, &setup, &ops);
+        assert!(n >= 300, "{what}: the trace must cross many ticks ({n})");
+    }
+}
+
+#[test]
+fn exec_n_inside_chase_shadow_is_identical() {
+    // A chase load leaves up to 16 fillable shadow cycles (3 after an L1D
+    // hit, 16 after DRAM). Op blocks of a quarter cycle to 40 cycles fill
+    // part of it, exactly all of it or overflow it, before the next chase
+    // settles what is left as stall.
+    let mut rng = Rng::new(0x5ad0);
+    let mut ops = vec![run(0, 64, false, Dep::Stream)];
+    for i in 0..60u64 {
+        let line = if i % 3 == 0 { i % 64 } else { 8192 + i * 131 };
+        ops.push(load(line, Dep::Chase));
+        // 64 nops are exactly 16 cycles: the whole fillable part.
+        if i % 5 == 0 {
+            ops.push(Op::Exec(ExecOp::Nop, 64));
+        }
+        for _ in 0..rng.below(4) {
+            ops.push(Op::Exec(exec_op(&mut rng), 1 + rng.below(40)));
+        }
+    }
+    check(
+        ArchConfig::intel_i7_4790,
+        |_| {},
+        &ops,
+        "exec_n inside chase shadow",
+    );
+    check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-8, 2e-8, true),
+        &ops,
+        "exec_n inside chase shadow, governor + sampler",
+    );
+}
+
+#[test]
+fn stream_load_under_fillable_shadow_is_identical() {
+    // After a DRAM chase, single stream loads (warm hits and cold misses)
+    // and stores drain the 16 fillable cycles through the reference step,
+    // half a cycle per load and one per store; the accesses after the
+    // shadow is drained take the fast step again.
+    let mut ops = vec![run(0, 128, false, Dep::Stream)];
+    for i in 0..32u64 {
+        ops.push(load(16_384 + i * 97, Dep::Chase));
+        for k in 0..40u64 {
+            let line = if k % 4 == 3 { 4096 + i * 40 + k } else { k };
+            ops.push(load(line, Dep::Stream));
+            if k % 9 == 0 {
+                ops.push(store(64 + k));
+            }
+        }
+        ops.push(Op::Exec(ExecOp::Add, 3));
+    }
+    check(
+        ArchConfig::intel_i7_4790,
+        |c| c.set_prefetch(true),
+        &ops,
+        "stream load under fillable shadow",
+    );
+    check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-7, 2e-7, true),
+        &ops,
+        "stream load under fillable shadow, governor + sampler",
+    );
+}
+
+#[test]
+fn single_accesses_on_arm_tcm_are_identical() {
+    // ARM1176: single loads (stream and chase), stores and op blocks deep
+    // inside the 32 KB data TCM and within 24 lines either side of its
+    // limit, unaligned, so the TCM/cache split of the single step is taken
+    // in both directions; then again with edges every 70 and 35 cycles.
+    let tcm_end: u64 = 32 * 1024;
+    let mut rng = Rng::new(0x7c3);
+    let mut ops = Vec::new();
+    for i in 0..800u64 {
+        let addr = if i % 4 == 0 {
+            rng.below(tcm_end)
+        } else {
+            tcm_end - 24 * LINE + rng.below(48 * LINE)
+        };
+        ops.push(match rng.below(8) {
+            0..=2 => Op::Load {
+                addr,
+                dep: Dep::Stream,
+            },
+            3..=4 => Op::Load {
+                addr,
+                dep: Dep::Chase,
+            },
+            5..=6 => Op::Store { addr },
+            _ => Op::Exec(exec_op(&mut rng), 1 + rng.below(8)),
+        });
+    }
+    check(
+        ArchConfig::arm1176jzf_s,
+        |_| {},
+        &ops,
+        "single TCM accesses",
+    );
+    let setup = edges(1e-7, 5e-8, false);
+    check(
+        ArchConfig::arm1176jzf_s,
+        &setup,
+        &ops,
+        "single TCM accesses, governor + sampler",
+    );
+    let n = sample_count(ArchConfig::arm1176jzf_s, &setup, &ops);
+    assert!(n >= 50, "single TCM accesses: too few ticks crossed ({n})");
+}
+
+/// A randomized trace of single loads, stores, op blocks, frequency
+/// changes and idle gaps. Three in four accesses revisit a 24 KB window
+/// (mostly L1D hits), the rest land anywhere in 1 MB; addresses are
+/// unaligned.
+fn random_single_trace(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = Rng::new(seed);
+    let mut ops = Vec::with_capacity(len);
+    for _ in 0..len {
+        let line = if rng.below(4) == 0 {
+            rng.below(16_384)
+        } else {
+            rng.below(384)
+        };
+        let addr = (1 << 21) + line * LINE + rng.below(LINE);
+        ops.push(match rng.below(12) {
+            0..=4 => Op::Load {
+                addr,
+                dep: Dep::Stream,
+            },
+            5..=6 => Op::Load {
+                addr,
+                dep: Dep::Chase,
+            },
+            7..=8 => Op::Store { addr },
+            9..=10 => Op::Exec(exec_op(&mut rng), 1 + rng.below(48)),
+            _ if rng.below(4) == 0 => Op::Idle(3e-7),
+            _ => Op::SetPstate(8 + (rng.below(29) as u8)),
+        });
+    }
+    ops
+}
+
+#[test]
+fn randomized_single_verb_traces_with_edges_are_bit_identical() {
+    for seed in 300..=303u64 {
+        let what = format!("random single verbs with edges, seed {seed}");
+        let setup = edges(1e-7, 7e-8, seed & 1 == 0);
+        let ops = random_single_trace(seed, 1500);
+        check(ArchConfig::intel_i7_4790, &setup, &ops, &what);
+        let n = sample_count(ArchConfig::intel_i7_4790, &setup, &ops);
+        assert!(n >= 50, "{what}: too few ticks crossed ({n})");
     }
 }
 
