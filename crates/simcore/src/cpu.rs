@@ -19,8 +19,8 @@
 //! one-access step. The *reference step* derives every price and latency
 //! per call and walks the hierarchy one level at a time. It runs with the
 //! fast path off ([`set_fastpath`]), for an access that may reach a
-//! governor-window edge or sampler tick, for a stream load or store under
-//! a fillable chase shadow and for chase loads of TCM lines. It stays
+//! governor-window edge or sampler tick, for chase loads of TCM lines, and
+//! for a run verb's accesses under a fillable chase shadow. It stays
 //! callable per machine as the doc-hidden `load_reference` /
 //! `store_reference` / `exec_n_reference`, the baseline that the
 //! equivalence tests and perfbench's scalar arm compare against
@@ -237,6 +237,21 @@ struct Prices {
 }
 
 impl Prices {
+    /// The operands of `advance(cycles, 0.0)` at this operating point.
+    #[inline]
+    fn busy(&self, cycles: f64) -> BusyStep {
+        let dt = cycles / self.hz;
+        BusyStep {
+            cycles,
+            dt,
+            bg_nj: Price {
+                core: self.bg.0 * dt * 1e9,
+                pkg_extra: self.bg.1 * dt * 1e9,
+                mem: self.bg.2 * dt * 1e9,
+            },
+        }
+    }
+
     /// The busy step of one known L1D/TCM hit.
     #[inline]
     fn hot_step(&self, write: bool) -> BusyStep {
@@ -636,12 +651,21 @@ impl Cpu {
     /// outstanding chase load.
     #[inline]
     fn busy_work(&mut self, c: f64) {
+        self.fill_shadow(c);
+        self.advance(c, 0.0);
+    }
+
+    /// `busy_work`'s overlap: up to the fillable part of an outstanding
+    /// chase shadow, `c` busy cycles retire inside it instead of stalling.
+    /// Touches only `pending` and `fillable`, which no charge reads, so the
+    /// fast steps may apply it anywhere in their step.
+    #[inline]
+    fn fill_shadow(&mut self, c: f64) {
         if self.fillable > 0.0 {
             let overlap = self.fillable.min(c);
             self.pending -= overlap;
             self.fillable -= overlap;
         }
-        self.advance(c, 0.0);
     }
 
     /// Charge front-end cost for an instruction of `class`, including the
@@ -695,19 +719,6 @@ impl Cpu {
     /// The price table at the current operating point.
     fn build_prices(&self) -> Prices {
         let hz = self.freq_hz();
-        let bg = self.model.background_w(self.pstate, true);
-        let busy = |cycles: f64| {
-            let dt = cycles / hz;
-            BusyStep {
-                cycles,
-                dt,
-                bg_nj: Price {
-                    core: bg.0 * dt * 1e9,
-                    pkg_extra: bg.1 * dt * 1e9,
-                    mem: bg.2 * dt * 1e9,
-                },
-            }
-        };
         let stall = |cycles: f64| StallStep {
             cycles,
             dt: cycles / hz,
@@ -735,8 +746,6 @@ impl Cpu {
             chase_pending[ix] = (lat - 1.0).max(0.0);
             chase_fillable[ix] = chase_pending[ix].min(self.arch.ooo_fill_cycles);
         }
-        let one = busy(1.0);
-        let stream_step_s = one.dt + stream_stall.iter().map(|s| s.dt).fold(0.0, f64::max);
         let fetch = self.fetch_price_eff(hz);
         let mut exec = [Price::default(); 5];
         for op in [
@@ -749,10 +758,10 @@ impl Cpu {
             exec[op as usize] =
                 crate::energy::add_price(fetch, self.model.op_price(op.class(), hz));
         }
-        Prices {
+        let mut p = Prices {
             at: Some((self.pstate, self.ifetch_discount)),
             hz,
-            bg,
+            bg: self.model.background_w(self.pstate, true),
             fetch,
             decode: self.model.decode_switch_price(hz),
             stall_unit: self.model.stall_price(hz),
@@ -776,10 +785,13 @@ impl Cpu {
             alloc_stall,
             chase_pending,
             chase_fillable,
-            issue: busy(1.0 / self.arch.load_issue_width),
-            one,
-            stream_step_s,
-        }
+            ..Prices::default()
+        };
+        // The busy steps read the table's own `hz` and `bg`.
+        p.issue = p.busy(1.0 / self.arch.load_issue_width);
+        p.one = p.busy(1.0);
+        p.stream_step_s = p.one.dt + stream_stall.iter().map(|s| s.dt).fold(0.0, f64::max);
+        p
     }
 
     /// The fast paths' time budget from the current clock (see [`Budget`]).
@@ -915,8 +927,9 @@ impl Cpu {
     /// end bit-identical; only per-access *lookups* are hoisted, never the
     /// arithmetic.
     ///
-    /// Preconditions (enforced by callers): no fillable chase shadow, every
-    /// access a known L1D/TCM hit, and all `k` end before the next
+    /// Preconditions (enforced by callers): no fillable chase shadow (or,
+    /// for a single access, its `fill_shadow` overlap already applied),
+    /// every access a known L1D/TCM hit, and all `k` end before the next
     /// governor-window edge or sampler tick ([`Budget::lines`]).
     fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
         self.ensure_prices();
@@ -1003,8 +1016,9 @@ impl Cpu {
 
     /// One stream load of a non-TCM `line` through the fused walk — exactly
     /// the reference load with [`Dep::Stream`] under the fast-path
-    /// preconditions (plus `fillable == 0`, so `busy_work` reduces to
-    /// `advance`). Returns whether it hit L1D.
+    /// preconditions (plus `fillable == 0`, or its `fill_shadow` overlap
+    /// applied by the caller, so `busy_work` reduces to `advance`). Returns
+    /// whether it hit L1D.
     fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
@@ -1021,8 +1035,8 @@ impl Cpu {
 
     /// One store to a non-TCM `line` through the fused walk — exactly the
     /// reference store under the fast-path preconditions (plus
-    /// `fillable == 0`). Returns whether it went without a write-allocate
-    /// fill.
+    /// `fillable == 0`, or its `fill_shadow` overlap applied by the
+    /// caller). Returns whether it went without a write-allocate fill.
     fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
         self.charge_fused_access(1, self.prices.store[0], &r);
@@ -1335,13 +1349,14 @@ impl Cpu {
     }
 
     /// The one-access fast step of [`Cpu::load`] / [`Cpu::store`]: prices
-    /// from the table, then a chase load through the fused chase step, or a
-    /// TCM access or L1D hit charged as one known hit, or an L1D miss
-    /// through the fused stream or store step. Returns `false`, having
-    /// changed nothing, when the access must take the reference step: the
-    /// fast path is off, the access may reach a governor-window edge or
-    /// sampler tick, a stream load or store would fill a chase shadow, or a
-    /// chase load targets a TCM line.
+    /// from the table, then a chase load through the fused chase step, a
+    /// TCM access charged as one known hit, or any other access through the
+    /// fused stream or store step (which charges an L1D hit exactly as
+    /// `charge_known_run` would), with `busy_work`'s shadow overlap applied
+    /// to its busy cycles. Returns `false`, having changed nothing, when
+    /// the access must take the reference step: the fast path is off, the
+    /// access may reach a governor-window edge or sampler tick, or a chase
+    /// load targets a TCM line.
     #[inline]
     fn access_fast(&mut self, addr: u64, write: bool, dep: Dep) -> bool {
         if !fastpath_enabled() {
@@ -1359,13 +1374,12 @@ impl Cpu {
             self.chase_step_fast(line, &mut ctx);
             return true;
         }
-        if self.fillable > 0.0 || !self.budget().fits(self.time_s, self.prices.stream_step_s) {
+        if !self.budget().fits(self.time_s, self.prices.stream_step_s) {
             return false;
         }
+        self.fill_shadow(self.prices.hot_step(write).cycles);
         if tcm {
             self.charge_tcm_run(write, 1);
-        } else if self.hier.l1_hit_run(line, 1, write, &mut self.pmu) == 1 {
-            self.charge_known_run(write, false, 1);
         } else {
             let mut ctx = self.hier.cold_ctx();
             if write {
@@ -1378,19 +1392,18 @@ impl Cpu {
     }
 
     /// The fast step of [`Cpu::exec_n`]: the reference step's charges with
-    /// the fetch + op price from the table, then `busy_work`'s shadow
-    /// overlap and `advance` replayed operand for operand. Returns `false`,
-    /// having changed nothing, when the fast path is off or the ops may
-    /// reach a governor-window edge or sampler tick.
+    /// the fetch + op price from the table, then `busy_work` replayed
+    /// operand for operand. Returns `false`, having changed nothing, when
+    /// the fast path is off or the ops may reach a governor-window edge or
+    /// sampler tick.
     #[inline]
     fn exec_fast(&mut self, op: ExecOp, n: u64) -> bool {
         if !fastpath_enabled() {
             return false;
         }
         self.ensure_prices();
-        let c = self.exec_cycles(op, n);
-        let dt = c / self.prices.hz;
-        if !self.budget().fits(self.time_s, dt) {
+        let step = self.prices.busy(self.exec_cycles(op, n));
+        if !self.budget().fits(self.time_s, step.dt) {
             return false;
         }
         self.pmu.add(Event::Instructions, n);
@@ -1404,16 +1417,8 @@ impl Cpu {
             self.prices.exec[op as usize],
             n as f64,
         ));
-        if self.fillable > 0.0 {
-            let overlap = self.fillable.min(c);
-            self.pending -= overlap;
-            self.fillable -= overlap;
-        }
-        self.busy_cycles += c;
-        self.time_s += dt;
-        self.meter.charge_power(self.prices.bg, dt);
-        self.win_active_s += dt;
-        self.credit_sampler(dt, 1);
+        self.fill_shadow(step.cycles);
+        self.busy_fused(step);
         true
     }
 
@@ -2039,24 +2044,48 @@ mod tests {
 
     #[test]
     fn single_verbs_take_the_fast_step_uncounted() {
-        // Only the fast step prices from the table (the reference step
-        // derives every price on the spot), and no single verb counts run
-        // lines — a cold miss, a warm hit, a chase and ops alike.
-        type Verb = fn(&mut Cpu, u64);
-        let verbs: [(&str, Verb); 4] = [
-            ("load", |c, a| c.load(a, Dep::Stream)),
-            ("chase load", |c, a| c.load(a, Dep::Chase)),
-            ("store", |c, a| c.store(a)),
-            ("exec_n", |c, _| c.exec_n(ExecOp::Mul, 3)),
-        ];
-        for (what, verb) in verbs {
-            let mut c = cpu();
-            let r = c.alloc(4096).unwrap();
-            verb(&mut c, r.addr);
-            verb(&mut c, r.addr);
-            assert!(c.prices.at.is_some(), "{what} must take the fast step");
-            assert_eq!(c.run_stats(), RunStats::default(), "{what} counted lines");
+        // The fast step itself must take every access the reference step is
+        // not reserved for (an edge, a TCM chase load) — the results would
+        // stay bit-identical either way, so only this test notices a guard
+        // that sends them all to the reference. No single verb counts lines.
+        let mut c = cpu();
+        let r = c.alloc(4096).unwrap();
+        let (a, b) = (r.addr, r.addr + 64);
+        assert!(c.access_fast(a, false, Dep::Stream), "cold load");
+        assert!(c.access_fast(a, false, Dep::Stream), "warm load");
+        assert!(c.access_fast(b, true, Dep::Stream), "cold store");
+        assert!(c.access_fast(b, true, Dep::Stream), "warm store");
+        assert!(c.access_fast(r.addr + 128, false, Dep::Chase), "chase load");
+        assert!(c.fillable > 0.0, "the chase load arms a fillable shadow");
+        assert!(c.access_fast(a, false, Dep::Stream), "load in the shadow");
+        assert!(c.access_fast(b, true, Dep::Stream), "store in the shadow");
+        assert!(c.exec_fast(ExecOp::Mul, 3), "op block");
+        assert_eq!(c.run_stats(), RunStats::default(), "single verbs counted");
+
+        let mut arm = Cpu::new(ArchConfig::arm1176jzf_s());
+        let t = arm.alloc_tcm(1024).unwrap();
+        assert!(arm.access_fast(t.addr, false, Dep::Stream), "TCM load");
+        assert!(arm.access_fast(t.addr, true, Dep::Stream), "TCM store");
+        assert!(
+            !arm.access_fast(t.addr, false, Dep::Chase),
+            "TCM chase load"
+        );
+
+        // A clock a picosecond short of the governor's window end: every
+        // access may reach the edge.
+        let mut g = cpu();
+        let r = g.alloc(4096).unwrap();
+        g.set_governor(true);
+        g.set_governor_interval(15e-6);
+        g.idle_c0(15e-6 - 1e-12);
+        for (write, dep, what) in [
+            (false, Dep::Stream, "load"),
+            (true, Dep::Stream, "store"),
+            (false, Dep::Chase, "chase load"),
+        ] {
+            assert!(!g.access_fast(r.addr, write, dep), "{what} at an edge");
         }
+        assert!(!g.exec_fast(ExecOp::Add, 1), "op at an edge");
     }
 
     #[test]

@@ -830,9 +830,9 @@ fn exec_n_inside_chase_shadow_is_identical() {
 #[test]
 fn stream_load_under_fillable_shadow_is_identical() {
     // After a DRAM chase, single stream loads (warm hits and cold misses)
-    // and stores drain the 16 fillable cycles through the reference step,
-    // half a cycle per load and one per store; the accesses after the
-    // shadow is drained take the fast step again.
+    // and stores drain the 16 fillable cycles through the fast step's
+    // shadow overlap, half a cycle per load and one per store, and the
+    // accesses after the shadow is drained find none left to fill.
     let mut ops = vec![run(0, 128, false, Dep::Stream)];
     for i in 0..32u64 {
         ops.push(load(16_384 + i * 97, Dep::Chase));
