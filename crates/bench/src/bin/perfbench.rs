@@ -2,8 +2,9 @@
 //!
 //! Replays six access traces through the per-access reference verbs
 //! (`Cpu::load_reference`/`Cpu::store_reference`, the frozen scalar step
-//! behind the public `load`/`store`) and through `Cpu::access_run`, and
-//! reports simulated accesses per host second for each, plus the speedup.
+//! that is the fast path's test oracle; production reaches it only with
+//! the fast path off) and through `Cpu::access_run`, and reports simulated
+//! accesses per host second for each, plus the speedup.
 //! The two replays issue the *identical* access sequence (the equivalence
 //! is proven bit-exact by `tests/access_equiv.rs`); this binary measures
 //! only how fast the simulator gets through it. Each arm runs three times with the arms

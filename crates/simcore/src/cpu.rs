@@ -11,20 +11,23 @@
 //! * [`Cpu::idle_c0`] / [`Cpu::idle_deep`] — let simulated wall time pass
 //!   without work (I/O waits, the background-calibration "sleep 1").
 //!
-//! Every access verb has two implementations with bit-identical results.
-//! The *fast step* prices from a table built once per operating point and
-//! walks the hierarchy fused: the run verbs ([`Cpu::access_run`],
-//! [`Cpu::copy_run`], the repeat verbs) batch whole runs, and the single
-//! verbs (`load`, `store`, `exec_n` and everything built on them) take a
-//! one-access step. The *reference step* derives every price and latency
-//! per call and walks the hierarchy one level at a time. It runs with the
-//! fast path off ([`set_fastpath`]), for an access that may reach a
-//! governor-window edge or sampler tick, for chase loads of TCM lines, and
-//! for a run verb's accesses under a fillable chase shadow. It stays
-//! callable per machine as the doc-hidden `load_reference` /
-//! `store_reference` / `exec_n_reference`, the baseline that the
-//! equivalence tests and perfbench's scalar arm compare against
-//! (DESIGN.md §9).
+//! With the fast path on, every access takes the *fast step*: it prices
+//! from a table built once per operating point and walks the hierarchy
+//! fused. The run verbs ([`Cpu::access_run`], [`Cpu::copy_run`], the
+//! repeat verbs) batch whole runs; the single verbs (`load`, `store`,
+//! `exec_n` and everything built on them) and a run verb's one-at-a-time
+//! fallbacks take a one-access step. An access that may reach a
+//! governor-window edge or sampler tick takes that same step with its
+//! time passed through `advance`, so the governor ticks and the sample
+//! fires where they would. The *reference step* in `cpu/reference.rs`
+//! derives every price and latency per call and walks the hierarchy one
+//! level at a time; production runs it only with the fast path off
+//! ([`set_fastpath`]). It is the oracle, callable per machine as the
+//! doc-hidden `load_reference` / `store_reference` / `exec_n_reference`,
+//! that the equivalence tests and perfbench's scalar arm compare against,
+//! bit for bit (DESIGN.md §9).
+
+mod reference;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -52,6 +55,8 @@ static RUN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static FASTPATH: AtomicBool = AtomicBool::new(true);
 
 /// Enable/disable the batched/fused fast paths process-wide (default: on).
+/// On, every access takes the fast step; off, every access takes the
+/// reference step, one at a time. Results are bit-identical either way.
 pub fn set_fastpath(on: bool) {
     FASTPATH.store(on, Ordering::Relaxed);
 }
@@ -77,7 +82,9 @@ pub struct RunStats {
     pub cold_batched_lines: u64,
     /// Lines serviced from the memoized-replay cache.
     pub replayed_lines: u64,
-    /// Lines routed through the scalar path by a run verb.
+    /// Run-verb lines stepped one at a time: at a governor-window edge or
+    /// sampler tick, under a fillable chase shadow, or a chase run's TCM
+    /// line (every line, with the fast path off).
     pub fallbacks: u64,
 }
 
@@ -149,9 +156,9 @@ struct StallStep {
 /// steps replay those additions operand for operand. Simulated time only
 /// grows, and both edge tests are monotone in the clock, so a run of fast
 /// accesses whose *final* clock stays below `edge` never skipped a governor
-/// tick or a sample. An access that may reach an edge takes the scalar
-/// step instead, which ticks the governor and emits the sample exactly as
-/// the scalar loop would.
+/// tick or a sample. An access that may reach an edge passes its time
+/// through `advance` instead, which ticks the governor and emits the sample
+/// exactly as the reference step would.
 #[derive(Debug, Clone, Copy)]
 struct Budget {
     /// Every clock value below this is provably before the next edge;
@@ -190,7 +197,7 @@ impl Budget {
 /// The per-access charge constants of every fast path — hot batches,
 /// replay, repeats and the fused cold-run/chase steps — at one
 /// `(pstate, ifetch_discount)` operating point. Every field holds the
-/// *exact* f64 the scalar path computes for the same access — prices via
+/// *exact* f64 the reference step computes for the same access — prices via
 /// the same model calls, stall cycles via the same `lat / mlp` divisions,
 /// wall-time steps via the same `/ hz` divisions — so the fast paths replay
 /// the scalar additions operand-for-operand and stay bit-identical. Only
@@ -416,8 +423,7 @@ pub struct Cpu {
     run_cold_batched_lines: u64,
     /// Lines serviced from the memoized-replay cache.
     run_replayed_lines: u64,
-    /// Lines routed through the scalar path by [`Cpu::access_run`] /
-    /// the repeat verbs because the run was (locally) heterogeneous.
+    /// Run-verb lines stepped one at a time (see [`RunStats::fallbacks`]).
     run_fallbacks: u64,
 }
 
@@ -647,18 +653,10 @@ impl Cpu {
         }
     }
 
-    /// Busy work of `c` cycles that may execute in the shadow of an
-    /// outstanding chase load.
-    #[inline]
-    fn busy_work(&mut self, c: f64) {
-        self.fill_shadow(c);
-        self.advance(c, 0.0);
-    }
-
-    /// `busy_work`'s overlap: up to the fillable part of an outstanding
-    /// chase shadow, `c` busy cycles retire inside it instead of stalling.
-    /// Touches only `pending` and `fillable`, which no charge reads, so the
-    /// fast steps may apply it anywhere in their step.
+    /// Busy work's overlap with an outstanding chase load: up to the
+    /// fillable part of its shadow, `c` busy cycles retire inside it
+    /// instead of stalling. Touches only `pending` and `fillable`, which no
+    /// charge reads, so the fast steps may apply it anywhere in their step.
     #[inline]
     fn fill_shadow(&mut self, c: f64) {
         if self.fillable > 0.0 {
@@ -668,43 +666,8 @@ impl Cpu {
         }
     }
 
-    /// Charge front-end cost for an instruction of `class`, including the
-    /// decode-switch penalty on class transitions.
-    #[inline]
-    fn charge_frontend(&mut self, class: u8) {
-        let hz = self.freq_hz();
-        self.meter.charge(self.fetch_price_eff(hz));
-        if self.last_class != class && self.last_class != u8::MAX {
-            self.meter.charge(self.model.decode_switch_price(hz));
-        }
-        self.last_class = class;
-    }
-
-    fn charge_access_side_effects(&mut self, r: &AccessResult) {
-        let hz = self.freq_hz();
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(self.model.pf_l2_price(hz));
-        }
-        for i in 0..r.pf_l3 {
-            let row_hit = i < r.pf_l3_row_hits;
-            self.meter.charge(self.model.pf_l3_price(row_hit, hz));
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter
-                .charge(self.model.writeback_price(HitLevel::L1d, hz));
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter
-                .charge(self.model.writeback_price(HitLevel::L2, hz));
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter
-                .charge(self.model.writeback_price(HitLevel::L3, hz));
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Batched fast path
+    // Fast path
     // ------------------------------------------------------------------
 
     /// Rebuild the price table if the operating point changed since it was
@@ -813,10 +776,11 @@ impl Cpu {
         }
     }
 
-    /// Re-sync a fast-path loop after a scalar step: the step may have
+    /// Re-sync a run verb's loop after a fallback step: the step may have
     /// ticked the governor (a new P-state, so new prices) or emitted a
-    /// sample (a new next tick), and its hierarchy walk may have evicted
-    /// lines inside `ctx`'s proven-resident windows.
+    /// sample (a new next tick), and its walk, on its own fresh
+    /// [`ColdCtx`], may have evicted lines inside `ctx`'s proven-resident
+    /// windows.
     fn resync(&mut self, ctx: &mut ColdCtx) -> Budget {
         self.ensure_prices();
         *ctx = self.hier.cold_ctx();
@@ -831,13 +795,16 @@ impl Cpu {
             .lines(self.time_s, self.prices.hot_step(write).dt)
     }
 
-    // The fast-path charge pieces below replay the scalar timing/energy
-    // helpers with operands from the price table. Preconditions (enforced
-    // by callers): prices ensured, and the access provably ends before the
+    // The fast-path charge pieces below replay the reference step's timing
+    // and energy helpers with operands from the price table.
+    // Preconditions (enforced by callers): prices ensured, and — unless
+    // the piece runs with `EDGE` — the access provably ends before the
     // next governor-window edge or sampler tick (see `Budget`), so
     // `pass_time` would only have accumulated.
 
-    /// `charge_frontend(class)`.
+    /// The reference step's front-end charge for an instruction of
+    /// `class`: fetch, plus the decode-switch penalty on a class
+    /// transition.
     #[inline]
     fn frontend_fast(&mut self, class: u8) {
         self.meter.charge(self.prices.fetch);
@@ -848,7 +815,8 @@ impl Cpu {
     }
 
     /// `advance(step.cycles, 0.0)`, less the sampler credit: hot batches
-    /// add it after their loop, fused steps through [`Cpu::busy_fused`].
+    /// add it after their loop, one-access steps through
+    /// [`Cpu::busy_step`].
     #[inline]
     fn busy_fast(&mut self, step: BusyStep) {
         self.busy_cycles += step.cycles;
@@ -857,16 +825,28 @@ impl Cpu {
         self.win_active_s += step.dt;
     }
 
-    /// `advance(step.cycles, 0.0)`.
+    /// `advance(step.cycles, 0.0)`: replayed from the table's operands, or,
+    /// for an access that may reach an edge (`EDGE`), `advance` itself,
+    /// which prices the time at the P-state of the moment and ticks the
+    /// governor and the sampler.
     #[inline]
-    fn busy_fused(&mut self, step: BusyStep) {
-        self.busy_fast(step);
-        self.credit_sampler(step.dt, 1);
+    fn busy_step<const EDGE: bool>(&mut self, step: BusyStep) {
+        if EDGE {
+            self.advance(step.cycles, 0.0);
+        } else {
+            self.busy_fast(step);
+            self.credit_sampler(step.dt, 1);
+        }
     }
 
-    /// `advance(0.0, step.cycles)`.
+    /// `advance(0.0, step.cycles)`, replayed or called as in
+    /// [`Cpu::busy_step`].
     #[inline]
-    fn stall_fast(&mut self, step: StallStep) {
+    fn stall_step<const EDGE: bool>(&mut self, step: StallStep) {
+        if EDGE {
+            self.advance(0.0, step.cycles);
+            return;
+        }
         self.stall_cycles += step.cycles;
         self.meter.charge(crate::energy::scale_price(
             self.prices.stall_unit,
@@ -890,9 +870,9 @@ impl Cpu {
         }
     }
 
-    /// The charges every fused step opens with, in scalar order: the
-    /// retired instruction, `charge_frontend(class)`, the access `price`
-    /// and `charge_access_side_effects(r)`.
+    /// The charges every one-access step opens with, in the reference
+    /// step's order: the retired instruction, the front end, the access
+    /// `price`, then `r`'s prefetch and writeback charges.
     #[inline(always)] // per-line hot path; LLVM outlines it otherwise
     fn charge_fused_access(&mut self, class: u8, price: Price, r: &AccessResult) {
         self.pmu.bump(Event::Instructions);
@@ -927,8 +907,7 @@ impl Cpu {
     /// end bit-identical; only per-access *lookups* are hoisted, never the
     /// arithmetic.
     ///
-    /// Preconditions (enforced by callers): no fillable chase shadow (or,
-    /// for a single access, its `fill_shadow` overlap already applied),
+    /// Preconditions (enforced by callers): no fillable chase shadow,
     /// every access a known L1D/TCM hit, and all `k` end before the next
     /// governor-window edge or sampler tick ([`Budget::lines`]).
     fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
@@ -962,16 +941,17 @@ impl Cpu {
         self.charge_known_run(write, true, k);
     }
 
-    /// Route one access through the reference step (fallback bookkeeping)
-    /// — the step a run verb takes for an access that may reach a
-    /// governor-window edge or sampler tick, or that no fast regime covers.
+    /// A run verb's one-at-a-time fallback, for an access that may reach a
+    /// governor-window edge or sampler tick or that no batching regime
+    /// covers: count it in [`RunStats::fallbacks`], then take the single
+    /// verb's step (with the fast path off, the reference step).
     #[inline]
-    fn scalar_step(&mut self, line: u64, write: bool, dep: Dep) {
+    fn fallback_step(&mut self, line: u64, write: bool, dep: Dep) {
         self.run_fallbacks += 1;
         if write {
-            self.store_reference(line);
+            self.store(line);
         } else {
-            self.load_reference(line, dep);
+            self.load(line, dep);
         }
     }
 
@@ -986,10 +966,20 @@ impl Cpu {
         }
     }
 
-    /// One chase load of a non-TCM `line` through the fused walk — exactly
-    /// the reference load with [`Dep::Chase`] under the fast-path
-    /// preconditions. Returns whether it hit L1D.
-    fn chase_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
+    // The one-access steps below are the reference step's load and store,
+    // priced from the table and walked fused. With `EDGE` (the access may
+    // reach a governor-window edge or sampler tick) they keep the walk and
+    // the table built at the start of the access, as the reference keeps
+    // the prices it derived at its start, and pass their busy and stall
+    // cycles through `advance`. `EDGE` is a constant so that the per-line
+    // steps of the batching loops compile without the edge path.
+
+    /// One chase load of `line`: the previous shadow settled as stall, a
+    /// TCM hit or the fused walk, one busy cycle, and the shadow re-armed.
+    /// At an edge the table is rebuilt after the settle, which may have
+    /// ticked the governor, since the reference prices the load at the
+    /// P-state after its settle. Returns whether it hit L1D.
+    fn chase_step<const EDGE: bool>(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         // Chase lines are random: start pulling their (host-side) L2/L3 set
         // slices now so they arrive while the settle arithmetic runs.
         self.hier.prefetch_sets(line);
@@ -998,49 +988,58 @@ impl Cpu {
             let p = self.pending;
             self.pending = 0.0;
             self.fillable = 0.0;
-            self.stall_fast(StallStep {
+            let stall = StallStep {
                 cycles: p,
                 dt: p / self.prices.hz,
-            });
+            };
+            self.stall_step::<EDGE>(stall);
+            if EDGE {
+                self.ensure_prices();
+            }
         }
-        let r = self.hier.load_fused(line, ctx, &mut self.pmu);
+        let r = if line < self.hier.tcm_limit() {
+            self.pmu.bump(Event::TcmLoad);
+            AccessResult {
+                level: Some(HitLevel::Tcm),
+                ..AccessResult::default()
+            }
+        } else {
+            self.hier.load_fused(line, ctx, &mut self.pmu)
+        };
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
-        self.busy_fused(self.prices.one);
+        self.busy_step::<EDGE>(self.prices.one);
         // Re-arm the shadow.
         self.pending = self.prices.chase_pending[ix];
         self.fillable = self.prices.chase_fillable[ix];
         matches!(level, HitLevel::L1d)
     }
 
-    /// One stream load of a non-TCM `line` through the fused walk — exactly
-    /// the reference load with [`Dep::Stream`] under the fast-path
-    /// preconditions (plus `fillable == 0`, or its `fill_shadow` overlap
-    /// applied by the caller, so `busy_work` reduces to `advance`). Returns
-    /// whether it hit L1D.
-    fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
+    /// One stream load of a non-TCM `line` through the fused walk, with
+    /// `fillable == 0` or its `fill_shadow` overlap applied by the caller.
+    /// Returns whether it hit L1D.
+    fn stream_step<const EDGE: bool>(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.charge_fused_access(0, self.prices.load[ix][r.dram_row_hit as usize], &r);
-        self.busy_fused(self.prices.issue);
+        self.busy_step::<EDGE>(self.prices.issue);
         let hit = matches!(level, HitLevel::L1d);
         if !hit {
             // MLP-amortized exposed latency.
-            self.stall_fast(self.prices.stream_stall[ix]);
+            self.stall_step::<EDGE>(self.prices.stream_stall[ix]);
         }
         hit
     }
 
-    /// One store to a non-TCM `line` through the fused walk — exactly the
-    /// reference store under the fast-path preconditions (plus
-    /// `fillable == 0`, or its `fill_shadow` overlap applied by the
-    /// caller). Returns whether it went without a write-allocate fill.
-    fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
+    /// One store to a non-TCM `line` through the fused walk, with
+    /// `fillable == 0` or its `fill_shadow` overlap applied by the caller.
+    /// Returns whether it went without a write-allocate fill.
+    fn store_step<const EDGE: bool>(&mut self, line: u64, ctx: &mut ColdCtx) -> bool {
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
         self.charge_fused_access(1, self.prices.store[0], &r);
-        self.busy_fused(self.prices.one);
+        self.busy_step::<EDGE>(self.prices.one);
         let Some(level) = allocated else {
             return true;
         };
@@ -1048,7 +1047,7 @@ impl Cpu {
         // Write-allocate fill: movement energy + softened latency.
         self.meter
             .charge(self.prices.load[ix][r.dram_row_hit as usize]);
-        self.stall_fast(self.prices.alloc_stall[ix]);
+        self.stall_step::<EDGE>(self.prices.alloc_stall[ix]);
         false
     }
 
@@ -1056,22 +1055,22 @@ impl Cpu {
     /// known L1D miss. Hits interleaved in the tail take the same fused
     /// steps (charged as batched lines); misses are bulk-charged
     /// (cold-batched lines). A line that may reach a governor-window edge
-    /// or sampler tick takes the scalar step. Preconditions: `fillable ==
-    /// 0` (stream loads and stores never re-arm it, so it stays zero for
-    /// the whole segment), every line ≥ the TCM limit.
+    /// or sampler tick is a fallback. Preconditions: `fillable == 0`
+    /// (stream loads and stores never re-arm it, so it stays zero for the
+    /// whole segment), every line ≥ the TCM limit.
     fn cold_segment(&mut self, line: &mut u64, left: &mut u64, write: bool) {
         self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
         let mut budget = self.budget();
         while *left > 0 {
             if !budget.fits(self.time_s, self.prices.stream_step_s) {
-                self.scalar_step(*line, write, Dep::Stream);
+                self.fallback_step(*line, write, Dep::Stream);
                 budget = self.resync(&mut ctx);
             } else {
                 let hit = if write {
-                    self.store_step_fast(*line, &mut ctx)
+                    self.store_step::<false>(*line, &mut ctx)
                 } else {
-                    self.stream_step_fast(*line, &mut ctx)
+                    self.stream_step::<false>(*line, &mut ctx)
                 };
                 self.count_fused(hit);
             }
@@ -1129,19 +1128,20 @@ impl Cpu {
     /// sequence outright. With the governor on or a timeline sampler
     /// attached, every regime runs only as far as its accesses provably end
     /// before the next governor-window edge or sampler tick (DESIGN.md §9,
-    /// "Time budget"); the access that may reach the edge takes the
-    /// reference step, as do accesses under an unfilled chase shadow, TCM
-    /// lines of a chase run, and every access with the fast path disabled
-    /// via [`set_fastpath`]. For any access sequence the PMU counters, RAPL
-    /// joules, timeline cycles, governor P-states and timeline samples are
-    /// bit-identical to issuing the same accesses one at a time through the
-    /// reference step.
+    /// "Time budget"). The access that may reach the edge is stepped alone
+    /// by the single verb's step, as are accesses under an unfilled chase
+    /// shadow and TCM lines of a chase run; these count as
+    /// [`RunStats::fallbacks`]. With the fast path disabled via
+    /// [`set_fastpath`], every access takes the reference step. For any
+    /// access sequence the PMU counters, RAPL joules, timeline cycles,
+    /// governor P-states and timeline samples are bit-identical to issuing
+    /// the same accesses one at a time through the reference step.
     pub fn access_run(&mut self, addr: u64, lines: u64, write: bool, dep: Dep) {
         let mut line = addr & !(crate::LINE - 1);
         let mut left = lines;
         if !fastpath_enabled() {
             while left > 0 {
-                self.scalar_step(line, write, dep);
+                self.fallback_step(line, write, dep);
                 line += crate::LINE;
                 left -= 1;
             }
@@ -1159,10 +1159,10 @@ impl Cpu {
             while left > 0 {
                 let step_s = self.pending / self.prices.hz + self.prices.one.dt;
                 if line >= tcm_limit && budget.fits(self.time_s, step_s) {
-                    let hit = self.chase_step_fast(line, &mut ctx);
+                    let hit = self.chase_step::<false>(line, &mut ctx);
                     self.count_fused(hit);
                 } else {
-                    self.scalar_step(line, write, dep);
+                    self.fallback_step(line, write, dep);
                     budget = self.resync(&mut ctx);
                 }
                 line += crate::LINE;
@@ -1188,11 +1188,11 @@ impl Cpu {
                 self.hits_before_edge(write).min(left)
             };
             if cap == 0 {
-                // A prior chase load left a fillable shadow (scalar steps
+                // A prior chase load left a fillable shadow (single steps
                 // drain it, each consuming busy overlap), or the next
-                // access may reach an edge: one scalar step, then batching
-                // resumes.
-                self.scalar_step(line, write, dep);
+                // access may reach an edge: one fallback step, then
+                // batching resumes.
+                self.fallback_step(line, write, dep);
                 line += crate::LINE;
                 left -= 1;
                 continue;
@@ -1261,13 +1261,14 @@ impl Cpu {
     /// moves issue them. Bit-identical to the scalar alternation
     /// `load(line, Stream); store(line)` per line; the fused walk handles
     /// both cold and warm lines in one pass. A line whose pair may reach a
-    /// governor-window edge or sampler tick takes the scalar pair.
+    /// governor-window edge or sampler tick, or that starts under a
+    /// fillable chase shadow or in the TCM window, is a fallback pair.
     pub fn copy_run(&mut self, addr: u64, lines: u64) {
         let mut line = addr & !(crate::LINE - 1);
         if !fastpath_enabled() {
             for _ in 0..lines {
-                self.scalar_step(line, false, Dep::Stream);
-                self.scalar_step(line, true, Dep::Stream);
+                self.fallback_step(line, false, Dep::Stream);
+                self.fallback_step(line, true, Dep::Stream);
                 line += crate::LINE;
             }
             return;
@@ -1281,13 +1282,13 @@ impl Cpu {
                 && self.fillable == 0.0
                 && budget.fits(self.time_s, 2.0 * self.prices.stream_step_s)
             {
-                let hit = self.stream_step_fast(line, &mut ctx);
+                let hit = self.stream_step::<false>(line, &mut ctx);
                 self.count_fused(hit);
-                let hit = self.store_step_fast(line, &mut ctx);
+                let hit = self.store_step::<false>(line, &mut ctx);
                 self.count_fused(hit);
             } else {
-                self.scalar_step(line, false, Dep::Stream);
-                self.scalar_step(line, true, Dep::Stream);
+                self.fallback_step(line, false, Dep::Stream);
+                self.fallback_step(line, true, Dep::Stream);
                 budget = self.resync(&mut ctx);
             }
             line += crate::LINE;
@@ -1325,7 +1326,7 @@ impl Cpu {
                 self.hits_before_edge(write).min(rest)
             };
             if k == 0 {
-                self.scalar_step(addr, write, Dep::Stream);
+                self.fallback_step(addr, write, Dep::Stream);
                 rest -= 1;
                 continue;
             }
@@ -1338,8 +1339,8 @@ impl Cpu {
                 self.charge_known_run(write, false, k);
             } else {
                 // Not resident (cannot happen right after the first access,
-                // but keeps the fallback total): scalar-step and re-probe.
-                self.scalar_step(addr, write, Dep::Stream);
+                // but keeps the fallback total): step it alone and re-probe.
+                self.fallback_step(addr, write, Dep::Stream);
                 rest -= 1;
                 continue;
             }
@@ -1348,64 +1349,74 @@ impl Cpu {
         }
     }
 
-    /// The one-access fast step of [`Cpu::load`] / [`Cpu::store`]: prices
-    /// from the table, then a chase load through the fused chase step, a
-    /// TCM access charged as one known hit, or any other access through the
-    /// fused stream or store step (which charges an L1D hit exactly as
-    /// `charge_known_run` would), with `busy_work`'s shadow overlap applied
-    /// to its busy cycles. Returns `false`, having changed nothing, when
-    /// the access must take the reference step: the fast path is off, the
-    /// access may reach a governor-window edge or sampler tick, or a chase
-    /// load targets a TCM line.
+    /// The one-access step of [`Cpu::load`] / [`Cpu::store`], and so of
+    /// every run-verb fallback: prices from the table and the time budget,
+    /// then [`Cpu::access_step`], with `EDGE` set if the access may reach a
+    /// governor-window edge or sampler tick.
     #[inline]
-    fn access_fast(&mut self, addr: u64, write: bool, dep: Dep) -> bool {
-        if !fastpath_enabled() {
-            return false;
-        }
+    fn access_fast(&mut self, addr: u64, write: bool, dep: Dep) {
         self.ensure_prices();
         let line = addr & !(crate::LINE - 1);
-        let tcm = line < self.hier.tcm_limit();
-        if dep == Dep::Chase && !write {
-            let step_s = self.pending / self.prices.hz + self.prices.one.dt;
-            if tcm || !self.budget().fits(self.time_s, step_s) {
-                return false;
-            }
-            let mut ctx = self.hier.cold_ctx();
-            self.chase_step_fast(line, &mut ctx);
-            return true;
-        }
-        if !self.budget().fits(self.time_s, self.prices.stream_step_s) {
-            return false;
-        }
-        self.fill_shadow(self.prices.hot_step(write).cycles);
-        if tcm {
-            self.charge_tcm_run(write, 1);
+        let chase = dep == Dep::Chase && !write;
+        let step_s = if chase {
+            self.pending / self.prices.hz + self.prices.one.dt
         } else {
-            let mut ctx = self.hier.cold_ctx();
-            if write {
-                self.store_step_fast(line, &mut ctx);
-            } else {
-                self.stream_step_fast(line, &mut ctx);
-            }
+            self.prices.stream_step_s
+        };
+        if self.budget().fits(self.time_s, step_s) {
+            self.access_step::<false>(line, write, chase);
+        } else {
+            self.access_at_edge(line, write, chase);
         }
-        true
     }
 
-    /// The fast step of [`Cpu::exec_n`]: the reference step's charges with
-    /// the fetch + op price from the table, then `busy_work` replayed
-    /// operand for operand. Returns `false`, having changed nothing, when
-    /// the fast path is off or the ops may reach a governor-window edge or
-    /// sampler tick.
-    #[inline]
-    fn exec_fast(&mut self, op: ExecOp, n: u64) -> bool {
-        if !fastpath_enabled() {
-            return false;
+    /// [`Cpu::access_step`] for an access that may reach an edge. Edges are
+    /// rare, so this stays out of line and keeps the single verbs' body as
+    /// small as their step below the edge.
+    #[cold]
+    #[inline(never)]
+    fn access_at_edge(&mut self, line: u64, write: bool, chase: bool) {
+        self.access_step::<true>(line, write, chase);
+    }
+
+    /// One access of `line`: a chase load through [`Cpu::chase_step`], or
+    /// busy work's shadow overlap followed by a TCM load or store charged
+    /// as one known hit, or by any other access through the fused stream
+    /// or store step (which charges an L1D hit with `charge_known_run`'s
+    /// operands).
+    fn access_step<const EDGE: bool>(&mut self, line: u64, write: bool, chase: bool) {
+        let mut ctx = self.hier.cold_ctx();
+        if chase {
+            self.chase_step::<EDGE>(line, &mut ctx);
+            return;
         }
+        let hot = self.prices.hot_step(write);
+        self.fill_shadow(hot.cycles);
+        if line < self.hier.tcm_limit() {
+            let (event, price) = if write {
+                (Event::TcmStore, self.prices.store[1])
+            } else {
+                (Event::TcmLoad, self.prices.load[level_ix(HitLevel::Tcm)][0])
+            };
+            self.pmu.bump(event);
+            self.charge_fused_access(write as u8, price, &AccessResult::default());
+            self.busy_step::<EDGE>(hot);
+        } else if write {
+            self.store_step::<EDGE>(line, &mut ctx);
+        } else {
+            self.stream_step::<EDGE>(line, &mut ctx);
+        }
+    }
+
+    /// The step of [`Cpu::exec_n`]: the reference step's charges with the
+    /// fetch + op price from the table, then busy work's shadow overlap and
+    /// its busy cycles, through `advance` when the ops may reach a
+    /// governor-window edge or sampler tick.
+    #[inline]
+    fn exec_fast(&mut self, op: ExecOp, n: u64) {
         self.ensure_prices();
         let step = self.prices.busy(self.exec_cycles(op, n));
-        if !self.budget().fits(self.time_s, step.dt) {
-            return false;
-        }
+        let fits = self.budget().fits(self.time_s, step.dt);
         self.pmu.add(Event::Instructions, n);
         self.pmu.add(op.event(), n);
         let class = 2 + op.event() as u8;
@@ -1418,8 +1429,11 @@ impl Cpu {
             n as f64,
         ));
         self.fill_shadow(step.cycles);
-        self.busy_fused(step);
-        true
+        if fits {
+            self.busy_step::<false>(step);
+        } else {
+            self.busy_step::<true>(step);
+        }
     }
 
     /// Busy cycles of `n` ops of `op` (the ARM core issues at half the
@@ -1440,71 +1454,19 @@ impl Cpu {
 
     /// Simulate one load of the line containing `addr`.
     pub fn load(&mut self, addr: u64, dep: Dep) {
-        if !self.access_fast(addr, false, dep) {
+        if fastpath_enabled() {
+            self.access_fast(addr, false, dep);
+        } else {
             self.load_reference(addr, dep);
-        }
-    }
-
-    /// The reference step of [`Cpu::load`]: every price, latency and
-    /// hierarchy transition derived on the spot. Bit-identical to `load`;
-    /// kept callable for equivalence tests and benchmark baselines.
-    #[doc(hidden)]
-    pub fn load_reference(&mut self, addr: u64, dep: Dep) {
-        if dep == Dep::Chase {
-            self.settle();
-        }
-        let r = self.hier.load(addr, &mut self.pmu);
-        let level = r.level.expect("load always resolves to a level");
-        let hz = self.freq_hz();
-        self.pmu.bump(Event::Instructions);
-        self.charge_frontend(0);
-        self.meter
-            .charge(self.model.load_price(level, r.dram_row_hit, hz));
-        self.charge_access_side_effects(&r);
-
-        let lat = self.hier.latency_cycles(&self.arch, level, hz);
-        match dep {
-            Dep::Chase => {
-                self.advance(1.0, 0.0);
-                self.pending = (lat - 1.0).max(0.0);
-                self.fillable = self.pending.min(self.arch.ooo_fill_cycles);
-            }
-            Dep::Stream => {
-                let issue = 1.0 / self.arch.load_issue_width;
-                self.busy_work(issue);
-                if !matches!(level, HitLevel::L1d | HitLevel::Tcm) {
-                    // MLP-amortized exposed latency.
-                    self.advance(0.0, lat / self.arch.mlp);
-                }
-            }
         }
     }
 
     /// Simulate one store to the line containing `addr`.
     pub fn store(&mut self, addr: u64) {
-        if !self.access_fast(addr, true, Dep::Stream) {
+        if fastpath_enabled() {
+            self.access_fast(addr, true, Dep::Stream);
+        } else {
             self.store_reference(addr);
-        }
-    }
-
-    /// The reference step of [`Cpu::store`] (see `load_reference`).
-    #[doc(hidden)]
-    pub fn store_reference(&mut self, addr: u64) {
-        let (r, allocated) = self.hier.store(addr, &mut self.pmu);
-        let hz = self.freq_hz();
-        self.pmu.bump(Event::Instructions);
-        self.charge_frontend(1);
-        let tcm = matches!(r.level, Some(HitLevel::Tcm));
-        self.meter.charge(self.model.store_price(tcm, hz));
-        self.charge_access_side_effects(&r);
-        self.busy_work(1.0);
-        if let Some(level) = allocated {
-            // Write-allocate fill: pay the movement energy and a (store-
-            // buffer-softened) fraction of the latency.
-            self.meter
-                .charge(self.model.load_price(level, r.dram_row_hit, hz));
-            let lat = self.hier.latency_cycles(&self.arch, level, hz);
-            self.advance(0.0, lat / self.arch.mlp / 2.0);
         }
     }
 
@@ -1536,32 +1498,14 @@ impl Cpu {
 
     /// Simulate `n` identical execution-unit ops.
     pub fn exec_n(&mut self, op: ExecOp, n: u64) {
-        if n > 0 && !self.exec_fast(op, n) {
-            self.exec_n_reference(op, n);
-        }
-    }
-
-    /// The reference step of [`Cpu::exec_n`] (see `load_reference`).
-    #[doc(hidden)]
-    pub fn exec_n_reference(&mut self, op: ExecOp, n: u64) {
         if n == 0 {
             return;
         }
-        let c = self.exec_cycles(op, n);
-        self.pmu.add(Event::Instructions, n);
-        self.pmu.add(op.event(), n);
-        let hz = self.freq_hz();
-        // Per-instruction fetch is part of `per`; only the class-switch
-        // decode penalty is charged at the block boundary.
-        let class = 2 + op.event() as u8;
-        if self.last_class != class && self.last_class != u8::MAX {
-            self.meter.charge(self.model.decode_switch_price(hz));
+        if fastpath_enabled() {
+            self.exec_fast(op, n);
+        } else {
+            self.exec_n_reference(op, n);
         }
-        self.last_class = class;
-        let fetch = self.fetch_price_eff(hz);
-        let per = crate::energy::add_price(fetch, self.model.op_price(op.class(), hz));
-        self.meter.charge(crate::energy::scale_price(per, n as f64));
-        self.busy_work(c);
     }
 
     /// Let wall time pass in C0-idle (the paper's background-measurement
@@ -2002,7 +1946,7 @@ mod tests {
         assert_eq!(st.batched_lines + st.replayed_lines + st.fallbacks, lines);
         assert!(
             st.fallbacks * 100 < lines,
-            "only edge-crossing accesses may take the scalar path ({st:?})"
+            "only edge-crossing accesses may be stepped one at a time ({st:?})"
         );
     }
 
@@ -2042,50 +1986,93 @@ mod tests {
         assert_eq!(m.pmu.get(Event::L1dStoreHit), 100);
     }
 
+    /// An access under test, at an address of the test region.
+    type Access = fn(&mut Cpu, u64);
+
+    /// Calls into the reference verbs on this thread so far.
+    fn reference_calls() -> u64 {
+        reference::CALLS.with(|c| c.get())
+    }
+
     #[test]
-    fn single_verbs_take_the_fast_step_uncounted() {
-        // The fast step itself must take every access the reference step is
-        // not reserved for (an edge, a TCM chase load) — the results would
-        // stay bit-identical either way, so only this test notices a guard
-        // that sends them all to the reference. No single verb counts lines.
+    fn no_access_takes_the_reference_step_with_the_fast_path_on() {
+        // Results are bit-identical either way, so only this counter
+        // notices an access routed to the reference step. Run-verb
+        // accesses stepped one at a time still count as fallbacks; single
+        // accesses count nowhere.
+        let calls = reference_calls();
+
+        // Cold and warm loads and stores, a chase load, a load and a store
+        // inside its shadow, an op block, TCM loads and stores.
         let mut c = cpu();
         let r = c.alloc(4096).unwrap();
         let (a, b) = (r.addr, r.addr + 64);
-        assert!(c.access_fast(a, false, Dep::Stream), "cold load");
-        assert!(c.access_fast(a, false, Dep::Stream), "warm load");
-        assert!(c.access_fast(b, true, Dep::Stream), "cold store");
-        assert!(c.access_fast(b, true, Dep::Stream), "warm store");
-        assert!(c.access_fast(r.addr + 128, false, Dep::Chase), "chase load");
+        for _ in 0..2 {
+            c.load(a, Dep::Stream);
+            c.store(b);
+        }
+        c.load(r.addr + 128, Dep::Chase);
         assert!(c.fillable > 0.0, "the chase load arms a fillable shadow");
-        assert!(c.access_fast(a, false, Dep::Stream), "load in the shadow");
-        assert!(c.access_fast(b, true, Dep::Stream), "store in the shadow");
-        assert!(c.exec_fast(ExecOp::Mul, 3), "op block");
+        c.load(a, Dep::Stream);
+        c.store(b);
+        c.exec_n(ExecOp::Mul, 3);
         assert_eq!(c.run_stats(), RunStats::default(), "single verbs counted");
 
-        let mut arm = Cpu::new(ArchConfig::arm1176jzf_s());
-        let t = arm.alloc_tcm(1024).unwrap();
-        assert!(arm.access_fast(t.addr, false, Dep::Stream), "TCM load");
-        assert!(arm.access_fast(t.addr, true, Dep::Stream), "TCM store");
-        assert!(
-            !arm.access_fast(t.addr, false, Dep::Chase),
-            "TCM chase load"
-        );
-
-        // A clock a picosecond short of the governor's window end: every
-        // access may reach the edge.
+        // A clock a picosecond short of the governor's window end: each
+        // single access crosses the edge, and the governor ticks inside it.
         let mut g = cpu();
         let r = g.alloc(4096).unwrap();
         g.set_governor(true);
-        g.set_governor_interval(15e-6);
-        g.idle_c0(15e-6 - 1e-12);
-        for (write, dep, what) in [
-            (false, Dep::Stream, "load"),
-            (true, Dep::Stream, "store"),
-            (false, Dep::Chase, "chase load"),
-        ] {
-            assert!(!g.access_fast(r.addr, write, dep), "{what} at an edge");
+        let singles: [(&str, Access); 4] = [
+            ("cold load", |g, a| g.load(a, Dep::Stream)),
+            ("cold store", |g, a| g.store(a + 64)),
+            ("chase load", |g, a| g.load(a + 128, Dep::Chase)),
+            ("op block", |g, _| g.exec_n(ExecOp::Mul, 3)),
+        ];
+        for (what, access) in singles {
+            g.settle();
+            g.set_governor_interval(15e-6);
+            g.idle_c0(15e-6 - 1e-12);
+            let window = g.win_start_s;
+            access(&mut g, r.addr);
+            assert!(g.win_start_s > window, "the {what} must cross the edge");
         }
-        assert!(!g.exec_fast(ExecOp::Add, 1), "op at an edge");
+        assert_eq!(g.run_stats(), RunStats::default(), "edge singles counted");
+
+        // ARM TCM chase loads, single and inside a chase run.
+        let mut arm = Cpu::new(ArchConfig::arm1176jzf_s());
+        let t = arm.alloc_tcm(1024).unwrap();
+        arm.load(t.addr, Dep::Stream);
+        arm.store(t.addr);
+        arm.load(t.addr, Dep::Chase);
+        assert_eq!(arm.run_stats(), RunStats::default(), "TCM singles counted");
+        arm.access_run(t.addr, 8, false, Dep::Chase);
+        assert_eq!(arm.run_stats().fallbacks, 8, "a chase run's TCM lines");
+
+        // Run-verb accesses under a fillable chase shadow.
+        let runs: [(&str, Access); 3] = [
+            ("access_run", |c, a| c.access_run(a, 4, false, Dep::Stream)),
+            ("copy_run", |c, a| c.copy_run(a, 2)),
+            ("load_repeat", |c, a| c.load_repeat(a, 4)),
+        ];
+        for (what, run) in runs {
+            c.load(r.addr + 128, Dep::Chase);
+            assert!(c.fillable > 0.0, "{what}: no fillable shadow");
+            let before = c.run_stats().fallbacks;
+            run(&mut c, r.addr);
+            assert!(
+                c.run_stats().fallbacks > before,
+                "{what}: accesses under the shadow must count as fallbacks"
+            );
+        }
+
+        assert_eq!(
+            reference_calls(),
+            calls,
+            "an access took the reference step"
+        );
+        c.load_reference(r.addr, Dep::Stream);
+        assert_eq!(reference_calls(), calls + 1, "the counter must count");
     }
 
     #[test]

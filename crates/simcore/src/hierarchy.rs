@@ -5,9 +5,16 @@
 //! copied into every level it passed on the way back. Stores are write-back /
 //! write-allocate, so read-only query workloads still generate L1D store
 //! traffic for temporaries (§3.2) and dirty lines ripple down on eviction.
+//!
+//! Production walks the stack through the fused walk below
+//! ([`Hierarchy::load_fused`], [`Hierarchy::store_fused`] and their
+//! stages). The scalar walk ([`Hierarchy::load`], [`Hierarchy::store`]) is
+//! the oracle it must match, in `hierarchy/reference.rs`.
+
+mod reference;
 
 use crate::arch::ArchConfig;
-use crate::cache::{Cache, Fill, Lookup};
+use crate::cache::{Cache, Fill};
 use crate::pmu::{Event, Pmu};
 use crate::prefetch::{RunCursor, Streamer, FAR, NEAR};
 
@@ -268,7 +275,8 @@ impl Hierarchy {
 
     /// Fast path: `n` repeated demand accesses to one resident (non-TCM)
     /// line, in O(1). Returns `false` (no state or PMU change) when the line
-    /// is not L1D-resident and the caller must fall back to the scalar path.
+    /// is not L1D-resident and the caller must step the accesses one at a
+    /// time.
     pub fn l1_repeat(&mut self, line: u64, n: u64, write: bool, pmu: &mut Pmu) -> bool {
         if !self.l1d.access_repeat(line, n, write) {
             return false;
@@ -298,251 +306,12 @@ impl Hierarchy {
         hit
     }
 
-    /// Insert a line into L1D, rippling dirty evictions downward.
-    fn fill_l1(&mut self, line: u64, dirty: bool, res: &mut AccessResult, pmu: &mut Pmu) {
-        let f = self.l1d.fill(line, dirty, false);
-        if let Some(victim) = f.writeback {
-            res.wb_l1 += 1;
-            pmu.bump(Event::WritebackL1);
-            if let Some(l2) = &mut self.l2 {
-                let f2 = l2.fill(victim, true, false);
-                if let Some(v2) = f2.writeback {
-                    res.wb_l2 += 1;
-                    pmu.bump(Event::WritebackL2);
-                    if let Some(l3) = &mut self.l3 {
-                        let f3 = l3.fill(v2, true, false);
-                        if let Some(v3) = f3.writeback {
-                            res.wb_l3 += 1;
-                            pmu.bump(Event::WritebackL3);
-                            self.dram_access(v3);
-                        }
-                    } else {
-                        res.wb_l3 += 1;
-                        pmu.bump(Event::WritebackL3);
-                        self.dram_access(v2);
-                    }
-                }
-            } else {
-                // No L2 (ARM): dirty L1 victims go straight to DRAM.
-                res.wb_l3 += 1;
-                pmu.bump(Event::WritebackL3);
-                self.dram_access(victim);
-            }
-        }
-    }
-
-    /// Insert a line into L2, rippling dirty evictions downward.
-    fn fill_l2(&mut self, line: u64, prefetched: bool, res: &mut AccessResult, pmu: &mut Pmu) {
-        if let Some(l2) = &mut self.l2 {
-            let f = l2.fill(line, false, prefetched);
-            if let Some(victim) = f.writeback {
-                res.wb_l2 += 1;
-                pmu.bump(Event::WritebackL2);
-                if let Some(l3) = &mut self.l3 {
-                    let f3 = l3.fill(victim, true, false);
-                    if let Some(v3) = f3.writeback {
-                        res.wb_l3 += 1;
-                        pmu.bump(Event::WritebackL3);
-                        self.dram_access(v3);
-                    }
-                } else {
-                    res.wb_l3 += 1;
-                    pmu.bump(Event::WritebackL3);
-                    self.dram_access(victim);
-                }
-            }
-        }
-    }
-
-    /// Run the streamer for a demand access that reached L2, fetching the
-    /// proposed lines into L2/L3.
-    fn run_prefetcher(&mut self, line: u64, res: &mut AccessResult, pmu: &mut Pmu) {
-        if !self.prefetch_enabled || self.l2.is_none() {
-            return;
-        }
-        let proposals = self.streamer.on_l2_access(line);
-        if proposals.is_empty() {
-            return;
-        }
-        // Near lines: into L2 (from L3; from DRAM via L3 if absent there).
-        for &p in proposals.l2() {
-            let in_l2 = self.l2.as_ref().is_some_and(|c| c.probe(p));
-            if in_l2 {
-                continue;
-            }
-            let in_l3 = self.l3.as_ref().is_some_and(|c| c.probe(p));
-            if !in_l3 {
-                // Pull DRAM→L3 first: that is an L3 prefetch.
-                let row_hit = self.dram_access(p);
-                if let Some(l3) = &mut self.l3 {
-                    l3.fill(p, false, true);
-                }
-                res.pf_l3 += 1;
-                if row_hit {
-                    res.pf_l3_row_hits += 1;
-                }
-                pmu.bump(Event::PrefetchL3);
-            }
-            self.fill_l2(p, true, res, pmu);
-            res.pf_l2 += 1;
-            pmu.bump(Event::PrefetchL2);
-        }
-        // Far lines: into L3 only.
-        for &p in proposals.l3() {
-            let resident = self.l2.as_ref().is_some_and(|c| c.probe(p))
-                || self.l3.as_ref().is_some_and(|c| c.probe(p));
-            if resident {
-                continue;
-            }
-            let row_hit = self.dram_access(p);
-            if let Some(l3) = &mut self.l3 {
-                l3.fill(p, false, true);
-            }
-            res.pf_l3 += 1;
-            if row_hit {
-                res.pf_l3_row_hits += 1;
-            }
-            pmu.bump(Event::PrefetchL3);
-        }
-    }
-
-    /// Simulate one demand load of the line containing `addr`.
-    pub fn load(&mut self, addr: u64, pmu: &mut Pmu) -> AccessResult {
-        let mut res = AccessResult::default();
-        if addr < self.tcm_limit {
-            pmu.bump(Event::TcmLoad);
-            res.level = Some(HitLevel::Tcm);
-            return res;
-        }
-        let line = addr & !(crate::LINE - 1);
-        pmu.bump(Event::LoadIssued);
-
-        if matches!(self.l1d.access(line, false), Lookup::Hit { .. }) {
-            pmu.bump(Event::L1dLoadHit);
-            res.level = Some(HitLevel::L1d);
-            return res;
-        }
-        pmu.bump(Event::L1dLoadMiss);
-
-        let Some(l2) = &mut self.l2 else {
-            // ARM: straight to DRAM.
-            pmu.bump(Event::L3Miss);
-            res.dram_row_hit = self.dram_access(line);
-            res.level = Some(HitLevel::Mem);
-            self.fill_l1(line, false, &mut res, pmu);
-            return res;
-        };
-
-        let l2_hit = matches!(l2.access(line, false), Lookup::Hit { .. });
-        if l2_hit {
-            pmu.bump(Event::L2Hit);
-            res.level = Some(HitLevel::L2);
-            self.run_prefetcher(line, &mut res, pmu);
-            self.fill_l1(line, false, &mut res, pmu);
-            return res;
-        }
-        pmu.bump(Event::L2Miss);
-        self.run_prefetcher(line, &mut res, pmu);
-
-        let l3_hit = self
-            .l3
-            .as_mut()
-            .map(|l3| matches!(l3.access(line, false), Lookup::Hit { .. }))
-            .unwrap_or(false);
-        if l3_hit {
-            pmu.bump(Event::L3Hit);
-            res.level = Some(HitLevel::L3);
-        } else {
-            pmu.bump(Event::L3Miss);
-            res.dram_row_hit = self.dram_access(line);
-            res.level = Some(HitLevel::Mem);
-            if let Some(l3) = &mut self.l3 {
-                l3.fill(line, false, false);
-            }
-        }
-        self.fill_l2(line, false, &mut res, pmu);
-        self.fill_l1(line, false, &mut res, pmu);
-        res
-    }
-
-    /// Simulate one store to the line containing `addr`.
-    ///
-    /// Returns `(result, allocated)`: `allocated` is `Some(level)` when the
-    /// store missed L1D and a write-allocate fill was serviced at `level`.
-    pub fn store(&mut self, addr: u64, pmu: &mut Pmu) -> (AccessResult, Option<HitLevel>) {
-        let mut res = AccessResult::default();
-        if addr < self.tcm_limit {
-            pmu.bump(Event::TcmStore);
-            res.level = Some(HitLevel::Tcm);
-            return (res, None);
-        }
-        let line = addr & !(crate::LINE - 1);
-        pmu.bump(Event::StoreIssued);
-
-        if matches!(self.l1d.access(line, true), Lookup::Hit { .. }) {
-            pmu.bump(Event::L1dStoreHit);
-            res.level = Some(HitLevel::L1d);
-            return (res, None);
-        }
-        pmu.bump(Event::L1dStoreMiss);
-        // Write-allocate: fetch the line like a load, then dirty it. The
-        // fetch shows up in the demand counters, as on real parts.
-        let mut fill = self.load_for_allocate(line, pmu, &mut res);
-        // The line is now in L1D; dirty it.
-        self.l1d.access(line, true);
-        if fill == Some(HitLevel::L1d) {
-            // Degenerate: fill found it already in L1D (racing prefetch).
-            fill = None;
-        }
-        (res, fill)
-    }
-
-    /// Load path used by write-allocate (no separate LoadIssued count — the
-    /// L1dStoreMiss already recorded the demand).
-    fn load_for_allocate(
-        &mut self,
-        line: u64,
-        pmu: &mut Pmu,
-        res: &mut AccessResult,
-    ) -> Option<HitLevel> {
-        let Some(l2) = &mut self.l2 else {
-            pmu.bump(Event::L3Miss);
-            res.dram_row_hit = self.dram_access(line);
-            self.fill_l1(line, true, res, pmu);
-            return Some(HitLevel::Mem);
-        };
-        if matches!(l2.access(line, false), Lookup::Hit { .. }) {
-            pmu.bump(Event::L2Hit);
-            self.fill_l1(line, true, res, pmu);
-            return Some(HitLevel::L2);
-        }
-        pmu.bump(Event::L2Miss);
-        let l3_hit = self
-            .l3
-            .as_mut()
-            .map(|l3| matches!(l3.access(line, false), Lookup::Hit { .. }))
-            .unwrap_or(false);
-        let level = if l3_hit {
-            pmu.bump(Event::L3Hit);
-            HitLevel::L3
-        } else {
-            pmu.bump(Event::L3Miss);
-            res.dram_row_hit = self.dram_access(line);
-            if let Some(l3) = &mut self.l3 {
-                l3.fill(line, false, false);
-            }
-            HitLevel::Mem
-        };
-        self.fill_l2(line, false, res, pmu);
-        self.fill_l1(line, true, res, pmu);
-        Some(level)
-    }
-
-    /// Fused demand load for the cold-run and chase fast paths: exactly
-    /// [`Hierarchy::load`] — same PMU order, same stamp arithmetic, same
-    /// fills, same DRAM row transitions — but each cache set is scanned once
-    /// (the scalar access-then-fill pair scans twice) and `ctx`'s knowledge
-    /// windows elide prefetch-target probes that would provably hit.
+    /// Fused demand load, the production load walk: it leaves the PMU and
+    /// every piece of state as the oracle [`Hierarchy::load`] does — same
+    /// PMU order, same stamp arithmetic, same fills, same DRAM row
+    /// transitions — but each cache set is scanned once (the scalar
+    /// access-then-fill pair scans twice) and `ctx`'s knowledge windows
+    /// elide prefetch-target probes that would provably hit.
     ///
     /// `line` must be line-aligned and at or above the TCM limit (the caller
     /// owns the TCM split). L1/L2 victim ways are precomputed at miss time;
@@ -598,9 +367,10 @@ impl Hierarchy {
         res
     }
 
-    /// Fused demand store: exactly [`Hierarchy::store`] with the same
-    /// single-scan-per-set treatment as [`Hierarchy::load_fused`]. The
-    /// caller owns the TCM split.
+    /// Fused demand store, the production store walk: state-identical to
+    /// the oracle [`Hierarchy::store`], with the same single-scan-per-set
+    /// treatment as [`Hierarchy::load_fused`]. The caller owns the TCM
+    /// split.
     pub fn store_fused(
         &mut self,
         line: u64,
@@ -623,7 +393,7 @@ impl Hierarchy {
         pmu.bump(Event::L1dStoreMiss);
         let ln = line / crate::LINE;
         let mut fill = self.load_for_allocate_fused(line, l1_victim, ln, ctx, &mut res, pmu);
-        // The line now sits at the precomputed L1 way; the scalar path's
+        // The line now sits at the precomputed L1 way; the oracle's
         // extra dirtying `access` is a hit there.
         self.l1d.touch_way(l1_victim, true);
         if fill == Some(HitLevel::L1d) {
@@ -632,8 +402,9 @@ impl Hierarchy {
         (res, fill)
     }
 
-    /// Fused [`Hierarchy::load_for_allocate`]. No prefetcher here, matching
-    /// the scalar path — which also means the L2 victim precompute needs no
+    /// The write-allocate fetch of [`Hierarchy::store_fused`] (the oracle's
+    /// `load_for_allocate`, fused). No prefetcher here, matching the
+    /// oracle — which also means the L2 victim precompute needs no
     /// geometry gate (only L3/DRAM state changes between scan and install).
     fn load_for_allocate_fused(
         &mut self,
@@ -701,7 +472,7 @@ impl Hierarchy {
         HitLevel::Mem
     }
 
-    /// [`Hierarchy::fill_l1`] with the victim way precomputed by the fused
+    /// The oracle's `fill_l1` with the victim way precomputed by the fused
     /// walk (nothing between the demand scan and this install touches the
     /// L1 set).
     #[allow(clippy::too_many_arguments)] // internal fused-walk plumbing
@@ -730,7 +501,7 @@ impl Hierarchy {
         }
     }
 
-    /// [`Hierarchy::fill_l2`] with knowledge clamping and an optional
+    /// The oracle's `fill_l2` with knowledge clamping and an optional
     /// precomputed victim way.
     #[allow(clippy::too_many_arguments)] // internal fused-walk plumbing
     fn fill_l2_fused(
@@ -786,7 +557,7 @@ impl Hierarchy {
         self.dram_access(victim);
     }
 
-    /// [`Hierarchy::run_prefetcher`] for the fused walk: the streamer is
+    /// The oracle's `run_prefetcher` for the fused walk: the streamer is
     /// driven through the run cursor (O(1) per ascending line, closed-form
     /// fast-forward over the provably-silent training stretch) and the
     /// knowledge windows elide probes of already-proven prefetch targets.

@@ -1,28 +1,31 @@
-//! Differential test for the memory-access fast path.
+//! Differential test for the memory-access fast path against its oracle.
 //!
 //! `Cpu::access_run` / `Cpu::copy_run` / the repeat verbs, and the single
 //! verbs `Cpu::load` / `Cpu::store` / `Cpu::exec_n` themselves, promise
 //! that for *any* access sequence the PMU counters, RAPL joules and
 //! timeline cycles are bit-identical to issuing the same accesses one at a
-//! time through the reference step. This test replays traces twice — once
-//! expanded to the reference verbs (`load_reference`, `store_reference`,
-//! `exec_n_reference`), once through the public entry points — and compares
-//! the two `Measurement`s exactly (`f64::to_bits`, not an epsilon).
+//! time through the reference step. With the fast path on, production
+//! never calls that step; it is the oracle. This test replays traces twice
+//! — once expanded to the reference verbs (`load_reference`,
+//! `store_reference`, `exec_n_reference`), once through the public entry
+//! points — and compares the two `Measurement`s exactly (`f64::to_bits`,
+//! not an epsilon).
 //!
 //! Traces cover the randomized case plus the adversarial shapes that have
 //! historically broken "fast path equals slow path" claims: set-conflict
 //! strides that evict mid-run, cold runs crossing DRAM row boundaries with
 //! the prefetcher on, runs and single accesses straddling the TCM window on
-//! the ARM part, chase shadows draining into a run or filled by op blocks,
-//! and P-state changes between runs.
+//! the ARM part, chase shadows draining into a run or a copy or filled by
+//! op blocks, and P-state changes between runs.
 //!
-//! With the EIST governor on or a timeline sampler attached, the fast steps
-//! run only up to the next governor-window edge or sampler tick, and the
-//! access that may reach it takes the reference step. The edge traces put
-//! an edge inside every fast regime — hot batch, replay, repeat, fused cold
-//! segment, chase step, copy, single access — and `check` then also
-//! compares every timeline sample and the final P-state bit for bit, so a
-//! governor tick or sample taken one access late fails the test.
+//! With the EIST governor on or a timeline sampler attached, the batching
+//! regimes run only up to the next governor-window edge or sampler tick,
+//! and the access that may reach it takes the one-access step with its
+//! time passed through `advance`. The edge traces put an edge inside every
+//! fast regime — hot batch, replay, repeat, fused cold segment, chase step,
+//! copy, single access — and `check` then also compares every timeline
+//! sample and the final P-state bit for bit, so a governor tick or sample
+//! taken one access late fails the test.
 
 mod common;
 
@@ -334,8 +337,8 @@ fn cold_runs_crossing_dram_rows_are_identical() {
 #[test]
 fn chase_shadow_drains_into_run_identically() {
     // A chase load leaves a fillable out-of-order shadow; the first lines
-    // of the next run must drain it through the scalar path before the
-    // batch can resume.
+    // of the next run must drain it one access at a time before the batch
+    // can resume.
     let base: u64 = 1 << 21;
     let mut ops = Vec::new();
     for i in 0..16u64 {
@@ -487,7 +490,8 @@ fn edges(governor_s: f64, sampler_s: f64, prefetch: bool) -> impl Fn(&mut Cpu) {
 }
 
 /// An edge trace must exercise both sides of the split: `fast` lines went
-/// through the regime under test and some accesses took the scalar step.
+/// through the regime under test and some accesses were stepped one at a
+/// time (fallbacks).
 fn assert_split(fast: u64, st: RunStats, what: &str) {
     assert!(fast > 0, "{what}: the regime under test never ran ({st:?})");
     assert!(
@@ -860,6 +864,37 @@ fn stream_load_under_fillable_shadow_is_identical() {
 }
 
 #[test]
+fn copy_run_under_fillable_shadow_is_identical() {
+    // A chase load leaves a fillable shadow (3 cycles after an L1D hit, 16
+    // after DRAM). The copy right after it steps its first pairs one at a
+    // time, each load filling half a cycle and each store one, until the
+    // shadow drains and the fused copy resumes; copies run over warm and
+    // cold lines alike.
+    let mut ops = vec![run(0, 64, false, Dep::Stream)];
+    for i in 0..24u64 {
+        let chased = if i % 2 == 0 { i } else { 16_384 + i * 97 };
+        ops.push(load(chased, Dep::Chase));
+        ops.push(Op::Copy {
+            addr: (1 << 21) + (32 + i * 16) * LINE,
+            lines: 24,
+        });
+    }
+    let plain = check(ArchConfig::intel_i7_4790, |_| {}, &ops, "copy in shadow");
+    let edged = check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-8, 2e-8, true),
+        &ops,
+        "copy in shadow, governor + sampler",
+    );
+    for st in [plain, edged] {
+        assert!(
+            st.fallbacks > 0 && st.batched_lines + st.cold_batched_lines > 0,
+            "copy pairs must run both under the shadow and fused ({st:?})"
+        );
+    }
+}
+
+#[test]
 fn single_accesses_on_arm_tcm_are_identical() {
     // ARM1176: single loads (stream and chase), stores and op blocks deep
     // inside the 32 KB data TCM and within 24 lines either side of its
@@ -977,7 +1012,7 @@ fn batched_replay_actually_batches() {
     );
     assert_eq!(
         st.fallbacks, 0,
-        "nothing here needs the scalar path ({st:?})"
+        "nothing here needs a fallback step ({st:?})"
     );
 }
 
