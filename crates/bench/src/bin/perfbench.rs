@@ -372,8 +372,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
 /// bytes). `mjrt::run_suite` drains the fast-path counters itself, so each
 /// arm starts clean.
 fn run_suite_once() -> (f64, Vec<u8>) {
-    let cfg =
-        mjrt::HarnessConfig::from_env_and_args(&[] as &[String]).expect("default harness config");
+    let cfg = mjrt::HarnessConfig::default();
     let mut out = Vec::new();
     let mut summary = std::io::sink();
     let t0 = Instant::now();

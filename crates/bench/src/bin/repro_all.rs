@@ -13,9 +13,16 @@
 //!   Chrome-format `trace.json`) into the run directory (or DIR).
 //! * `--metrics` — print the metrics summary (stderr) and write
 //!   `metrics.json` into the run directory.
+//! * `--sessions N` (and `--arrival-rate`, `--admit-limit`, `--mix`) —
+//!   shape the serving experiment, e.g. `--filter serve_oltp --sessions 8`.
+//! * `--diff-fuzz N` — seeded fuzz queries the differential harness runs
+//!   after its fixed corpus (`--filter difftest --diff-fuzz 0` runs the
+//!   corpus only).
 //!
 //! The host-time summary goes to stderr so stdout stays deterministic;
-//! `--trace`/`--metrics` never change stdout either.
+//! `--trace`/`--metrics` never change stdout either. The exit status is 1
+//! when any experiment failed: a shard panicked, or a check such as the
+//! differential harness's found a disagreement.
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,7 +33,7 @@ fn main() {
         }
         return;
     }
-    let cfg = match mjrt::HarnessConfig::from_env_and_args(&args) {
+    let cfg = match mjrt::HarnessConfig::from_args(&args) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("{e}");

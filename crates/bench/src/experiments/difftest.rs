@@ -9,12 +9,11 @@
 //! energy-accounting invariants, and returns the canonical result digests.
 //! `assemble` compares digests across shards; a disagreeing fuzz case is
 //! shrunk to a minimal reproducer (engines are rebuilt only on that cold
-//! path). Any failure line starts with [`FAIL_MARK`], which the `difftest`
-//! binary greps to set its exit status.
+//! path). Every failure line starts with `DIFF-FAIL`, and any failure
+//! marks the report failed, so `repro_all` exits 1.
 //!
-//! The fuzz stream is configured by environment (`MJ_DIFF_FUZZ`,
-//! `MJ_DIFF_SEED`) rather than CLI flags so the experiment stays runnable
-//! through the stock `mjrt` harness flags (e.g. under `repro_all --filter`).
+//! The fuzz count is the harness's `--diff-fuzz` flag; the fuzz seed is
+//! fixed, so a failing run reproduces with the same flags.
 
 use std::any::Any;
 use std::fmt::Write as _;
@@ -26,28 +25,11 @@ use mjrt::experiment::downcast_shard;
 use mjrt::{ExpCtx, Experiment, HarnessConfig, Report};
 use simcore::{ArchKind, PState};
 
-/// Prefix of every failure line in the report (the binary's exit signal).
-pub const FAIL_MARK: &str = "DIFF-FAIL";
+/// Prefix of every failure line in the report.
+const FAIL_MARK: &str = "DIFF-FAIL";
 
-/// Default fuzz-query count when `MJ_DIFF_FUZZ` is unset.
-pub const DEFAULT_FUZZ: usize = 50;
-
-/// Default fuzz seed when `MJ_DIFF_SEED` is unset.
-pub const DEFAULT_SEED: u64 = 0x00d1ff;
-
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn fuzz_cfg() -> (usize, u64) {
-    (
-        env_or("MJ_DIFF_FUZZ", DEFAULT_FUZZ),
-        env_or("MJ_DIFF_SEED", DEFAULT_SEED),
-    )
-}
+/// The fuzz stream's seed.
+const SEED: u64 = 0x00d1ff;
 
 /// The operating point each variant's machine runs at (its architecture's
 /// maximum — what `Cpu::new` pins), and hence the table to check against.
@@ -82,7 +64,6 @@ impl Experiment for Difftest {
 
     fn run_shard(&self, shard: usize, ctx: &ExpCtx<'_>) -> Box<dyn Any + Send> {
         let variant = Variant::ALL[shard];
-        let (fuzz, seed) = fuzz_cfg();
         let table = ctx.table(variant.arch(), pstate_of(variant));
         let mut engine = Engine::build(variant);
         let mut out = ShardOut {
@@ -90,7 +71,8 @@ impl Experiment for Difftest {
             outcomes: Vec::new(),
             violations: Vec::new(),
         };
-        for (i, case) in corpus::full_corpus(fuzz, seed).iter().enumerate() {
+        let cases = corpus::full_corpus(ctx.cfg.diff_fuzz, SEED);
+        for (i, case) in cases.iter().enumerate() {
             let Ok(plan) = compile_case(case, engine.catalog()) else {
                 out.rejected += 1;
                 continue;
@@ -104,19 +86,19 @@ impl Experiment for Difftest {
         Box::new(out)
     }
 
-    fn assemble(&self, shards: Vec<Box<dyn Any + Send>>, _ctx: &ExpCtx<'_>) -> Report {
+    fn assemble(&self, shards: Vec<Box<dyn Any + Send>>, ctx: &ExpCtx<'_>) -> Report {
         let outs: Vec<ShardOut> = shards
             .into_iter()
             .enumerate()
             .map(|(i, s)| downcast_shard::<ShardOut>(self.name(), i, s))
             .collect();
-        let (fuzz, seed) = fuzz_cfg();
-        let cases = corpus::full_corpus(fuzz, seed);
+        let fuzz = ctx.cfg.diff_fuzz;
+        let cases = corpus::full_corpus(fuzz, SEED);
 
         let mut r = Report::new();
         writeln!(
             r,
-            "== Differential correctness: {} variants x ({} fixed + {} fuzz cases, seed {seed:#x}) ==",
+            "== Differential correctness: {} variants x ({} fixed + {} fuzz cases, seed {SEED:#x}) ==",
             Variant::ALL.len(),
             corpus::fixed_corpus().len(),
             fuzz,
@@ -191,6 +173,7 @@ impl Experiment for Difftest {
             .unwrap();
         } else {
             writeln!(r, "{FAIL_MARK} total: {failures} failure(s)").unwrap();
+            r.fail(format!("{failures} differential failure(s)"));
         }
         r
     }
@@ -207,4 +190,78 @@ fn still_disagrees(cand: &mjdiff::GenQuery, engines: &mut [Engine]) -> bool {
         .map(|e| e.run_case(&plan, None))
         .collect();
     (1..outcomes.len()).any(|i| compare(&outcomes[0], &outcomes[i]).is_some())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mjrt::{CalibrationCache, StatsSink};
+
+    /// One agreeing output per variant over the first two fixed cases.
+    fn agreeing() -> Vec<ShardOut> {
+        Variant::ALL
+            .iter()
+            .map(|_| ShardOut {
+                rejected: 0,
+                outcomes: vec![
+                    (0, "tpch/Q1".into(), Ok(vec!["A|F|3774200".into()])),
+                    (1, "tpch/Q2".into(), Err("Plan(empty)".into())),
+                ],
+                violations: Vec::new(),
+            })
+            .collect()
+    }
+
+    fn assemble(outs: Vec<ShardOut>) -> Report {
+        let cfg = HarnessConfig {
+            diff_fuzz: 0,
+            ..HarnessConfig::default()
+        };
+        let cal = CalibrationCache::new();
+        let ctx = ExpCtx::new(&cfg, &cal, StatsSink::default(), None);
+        let shards = outs
+            .into_iter()
+            .map(|o| Box::new(o) as Box<dyn Any + Send>)
+            .collect();
+        Difftest.assemble(shards, &ctx)
+    }
+
+    #[test]
+    fn agreeing_variants_give_a_passing_report() {
+        let r = assemble(agreeing());
+        assert_eq!(r.failure(), None, "{}", r.text);
+        assert!(!r.text.contains(FAIL_MARK), "{}", r.text);
+        assert!(r.text.contains("agreement: all variants agree"));
+    }
+
+    #[test]
+    fn a_differing_digest_fails_the_report() {
+        let mut outs = agreeing();
+        outs[2].outcomes[0].2 = Ok(vec!["A|F|3774201".into()]);
+        let r = assemble(outs);
+        assert!(
+            r.text
+                .contains("DIFF-FAIL tpch/Q1: pg vs my: row 0 differs"),
+            "{}",
+            r.text
+        );
+        assert!(r.text.contains("DIFF-FAIL total: 1 failure(s)"));
+        assert_eq!(r.failure(), Some("1 differential failure(s)"));
+    }
+
+    #[test]
+    fn an_invariant_violation_fails_the_report() {
+        let mut outs = agreeing();
+        outs[4]
+            .violations
+            .push("tpch/Q2: L1D hits + misses != loads".into());
+        let r = assemble(outs);
+        assert!(
+            r.text
+                .contains("DIFF-FAIL [lite-dtcm] tpch/Q2: L1D hits + misses != loads"),
+            "{}",
+            r.text
+        );
+        assert_eq!(r.failure(), Some("1 differential failure(s)"));
+    }
 }

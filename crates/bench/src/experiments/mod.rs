@@ -2,9 +2,9 @@
 //! [`mjrt::Experiment`].
 //!
 //! [`REGISTRY`] is the single source of truth for the suite: `repro_all`
-//! runs it end to end through the `mjrt` scheduler, the thin per-experiment
-//! binaries look their experiment up by name, and the report stream is
-//! emitted in exactly this order regardless of `--jobs`.
+//! runs it end to end through the `mjrt` scheduler (`--filter` selects
+//! experiments by name), and the report stream is emitted in exactly this
+//! order regardless of `--jobs`.
 
 pub mod arm;
 pub mod difftest;

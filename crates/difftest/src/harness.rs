@@ -180,7 +180,6 @@ impl Engine {
     /// check the energy-model invariant.
     pub fn run_case(&mut self, plan: &Plan, table: Option<&EnergyTable>) -> CaseOutcome {
         let s0 = self.cpu.run_stats();
-        let batched_before = s0.batched_lines + s0.replayed_lines;
         let mut result: Option<storage::Result<Vec<Row>>> = None;
         let handle = &mut self.handle;
         let m = self.cpu.measure(|c| {
@@ -189,8 +188,8 @@ impl Engine {
                 Handle::Dtcm(d) => d.run(c, plan),
             });
         });
-        let s1 = self.cpu.run_stats();
-        let batched = (s1.batched_lines + s1.replayed_lines) - batched_before;
+        let d = self.cpu.run_stats() - s0;
+        let batched = d.batched_lines + d.replayed_lines;
 
         let mut violations = invariants::conservation_violations(self.variant.arch(), &m.pmu);
         if let Some(v) = invariants::batched_violation(&m.pmu, batched) {

@@ -175,8 +175,8 @@ mod tests {
             c.access_run(r.addr, 64, false, Dep::Stream);
             c.access_run(r.addr, 64, false, Dep::Stream);
         });
-        let s1 = cpu.run_stats();
-        let hot = (s1.batched_lines + s1.replayed_lines) - (s0.batched_lines + s0.replayed_lines);
+        let d = cpu.run_stats() - s0;
+        let hot = d.batched_lines + d.replayed_lines;
         assert!(batched_violation(&m.pmu, hot).is_none());
         // And the bound is real: claiming more batched lines than hits fires.
         assert!(batched_violation(&m.pmu, m.pmu.get(Event::LoadIssued) + 1).is_some());

@@ -31,8 +31,9 @@
 //!   to a minimal reproducer before it is reported.
 //!
 //! The harness is wired into `mjrt` as the `difftest` experiment (one
-//! shard per variant, `--jobs`-independent by construction) and exposed as
-//! `cargo run --bin difftest` with `--corpus` / `--fuzz N` / `--seed S`.
+//! shard per variant, `--jobs`-independent by construction), run with
+//! `repro_all --filter difftest [--diff-fuzz N]`; any disagreement or
+//! invariant violation fails the run.
 
 pub mod corpus;
 pub mod fuzz;

@@ -97,15 +97,6 @@ thread_local! {
     static COLLECTORS: RefCell<Vec<Collector>> = const { RefCell::new(Vec::new()) };
 }
 
-fn runs_delta(now: RunStats, then: RunStats) -> RunStats {
-    RunStats {
-        batched_lines: now.batched_lines - then.batched_lines,
-        cold_batched_lines: now.cold_batched_lines - then.cold_batched_lines,
-        replayed_lines: now.replayed_lines - then.replayed_lines,
-        fallbacks: now.fallbacks - then.fallbacks,
-    }
-}
-
 /// Start collecting spans on this thread. Collectors nest: each `install`
 /// pushes a fresh collector (own sequence counter, own records) and the
 /// matching [`take`] pops it, restoring whatever was collecting before.
@@ -185,7 +176,7 @@ pub fn exit(cpu: &mut Cpu) {
             start_e_j: open.rapl.total_j(),
             delta,
             rows: open.rows,
-            runs: runs_delta(cpu.run_stats(), open.runs),
+            runs: cpu.run_stats() - open.runs,
             forced: false,
         });
     });
@@ -360,9 +351,8 @@ mod tests {
         exit(&mut c);
         let recs = take();
         let total = recs[0].runs;
-        let served = total.batched_lines + total.replayed_lines + total.cold_batched_lines;
         assert!(
-            served + total.fallbacks > 0,
+            total.served() + total.fallbacks > 0,
             "span must see the run counters move"
         );
     }

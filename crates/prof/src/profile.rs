@@ -52,13 +52,6 @@ struct OpAgg {
     runs: RunStats,
 }
 
-fn add_runs(into: &mut RunStats, r: RunStats) {
-    into.batched_lines += r.batched_lines;
-    into.cold_batched_lines += r.cold_batched_lines;
-    into.replayed_lines += r.replayed_lines;
-    into.fallbacks += r.fallbacks;
-}
-
 fn write_runs<W: Write>(w: &mut W, r: RunStats) -> io::Result<()> {
     write!(
         w,
@@ -96,7 +89,7 @@ fn write_shard<W: Write>(w: &mut W, s: &ShardProfile<'_>) -> io::Result<()> {
         let m = &forest.rec(r).delta;
         active_j += active_energy(m, &s.table.background).active_j;
         est_j += s.table.estimate_active_j(&MicroOpCounts::from_pmu(&m.pmu));
-        add_runs(&mut runs_total, forest.rec(r).runs);
+        runs_total += forest.rec(r).runs;
     }
     write!(
         w,
@@ -131,7 +124,7 @@ fn write_shard<W: Write>(w: &mut W, s: &ShardProfile<'_>) -> io::Result<()> {
             agg.ops_j[k] += bd.energy_j(*op);
         }
         *agg.ops_j.last_mut().expect("ops_j sized") += bd.other_j();
-        add_runs(&mut agg.runs, forest.exclusive_runs(i));
+        agg.runs += forest.exclusive_runs(i);
     }
     writeln!(w, ", \"operators\": [")?;
     let n = ops.len();

@@ -125,11 +125,7 @@ impl<'a> SpanForest<'a> {
     pub fn exclusive_runs(&self, i: usize) -> RunStats {
         let mut r = self.recs[i].runs;
         for &c in &self.children[i] {
-            let ch = self.recs[c].runs;
-            r.batched_lines -= ch.batched_lines;
-            r.cold_batched_lines -= ch.cold_batched_lines;
-            r.replayed_lines -= ch.replayed_lines;
-            r.fallbacks -= ch.fallbacks;
+            r -= self.recs[c].runs;
         }
         r
     }
@@ -148,7 +144,7 @@ impl<'a> SpanForest<'a> {
 /// (batched, cold-batched or replayed); `None` when the window moved no
 /// lines through `access_run` at all.
 pub fn fastpath_hit_rate(r: RunStats) -> Option<f64> {
-    let served = r.batched_lines + r.cold_batched_lines + r.replayed_lines;
+    let served = r.served();
     let total = served + r.fallbacks;
     (total > 0).then(|| served as f64 / total as f64)
 }

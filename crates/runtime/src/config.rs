@@ -1,10 +1,8 @@
 //! One typed harness configuration, parsed once.
 //!
-//! Historically every bench binary read its own `MJ_*` environment
-//! variables through ad-hoc `env_f64` calls. [`HarnessConfig`] centralises
-//! those knobs: CLI flags win, environment variables are the fallback, and
-//! the parsed struct is threaded through the runtime to every experiment
-//! shard via [`crate::ExpCtx`].
+//! [`HarnessConfig`] holds every knob of a run. It is parsed from CLI flags
+//! only ([`HarnessConfig::from_args`]) and threaded through the runtime to
+//! every experiment shard via [`crate::ExpCtx`].
 
 use std::path::PathBuf;
 
@@ -23,50 +21,55 @@ pub const DEFAULT_ARM_SCALE: f64 = 10.0;
 /// genuinely memory-bound).
 pub const DEFAULT_SEC5_SCALE: f64 = 96.0;
 
-/// Typed harness configuration (CLI flags over `MJ_*` env fallback).
+/// Default count of seeded fuzz queries the differential harness appends to
+/// its fixed corpus.
+pub const DEFAULT_DIFF_FUZZ: usize = 50;
+
+/// Typed harness configuration, parsed from CLI flags.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
-    /// TPC-H scale in "paper megabytes" (`--scale` / `MJ_SCALE`).
+    /// TPC-H scale in "paper megabytes" (`--scale`).
     pub scale: f64,
-    /// ARM/DTCM experiment scale (`--arm-scale` / `MJ_ARM_SCALE`).
+    /// ARM/DTCM experiment scale (`--arm-scale`).
     pub arm_scale: f64,
-    /// §5 DVFS trade-off scale (`--sec5-scale` / `MJ_SEC5_SCALE`).
+    /// §5 DVFS trade-off scale (`--sec5-scale`).
     pub sec5_scale: f64,
-    /// Calibration op budget (`--cal-ops` / `MJ_CAL_OPS`).
+    /// Calibration op budget (`--cal-ops`).
     pub cal_ops: u64,
-    /// Write plotting-ready CSVs (`--csv` / `MJ_CSV`).
+    /// Write plotting-ready CSVs (`--csv`).
     pub csv: bool,
     /// Root directory for CSV output; each run creates one timestamped
-    /// subdirectory under it (`--results-dir` / `MJ_RESULTS_DIR`).
+    /// subdirectory under it (`--results-dir`).
     pub results_root: PathBuf,
-    /// Worker threads for the experiment scheduler (`--jobs` / `MJ_JOBS`;
-    /// `0` means "auto": one worker per available hardware thread).
+    /// Worker threads for the experiment scheduler (`--jobs`; `0` means
+    /// "auto": one worker per available hardware thread).
     pub jobs: usize,
-    /// Case-sensitive substring filter on experiment names
-    /// (`--filter` / `MJ_FILTER`).
+    /// Case-sensitive substring filter on experiment names (`--filter`).
     pub filter: Option<String>,
     /// Collect energy-attributed spans and write `trace.jsonl` +
     /// `trace.json` (Chrome `trace_event`) into the run directory
-    /// (`--trace[=DIR]` / `MJ_TRACE`). Never changes the report stream.
+    /// (`--trace[=DIR]`). Never changes the report stream.
     pub trace: bool,
     /// Explicit directory for trace files (`--trace=DIR`); `None` uses the
     /// per-run `results/run-*/` directory.
     pub trace_dir: Option<PathBuf>,
     /// Print the metrics summary after the suite and write `metrics.json`
-    /// into the run directory (`--metrics` / `MJ_METRICS`).
+    /// into the run directory (`--metrics`).
     pub metrics: bool,
-    /// Client sessions for the serving experiment
-    /// (`--sessions` / `MJ_SESSIONS`).
+    /// Client sessions for the serving experiment (`--sessions`).
     pub sessions: u32,
     /// Per-session open-loop arrival rate in requests per virtual second
-    /// for the serving experiment (`--arrival-rate` / `MJ_ARRIVAL_RATE`).
+    /// for the serving experiment (`--arrival-rate`).
     pub arrival_rate: f64,
     /// Admission tokens (max concurrently executing requests) for the
-    /// serving experiment (`--admit-limit` / `MJ_ADMIT_LIMIT`).
+    /// serving experiment (`--admit-limit`).
     pub admit_limit: u32,
     /// Request-family mix for the serving experiment: `oltp`, `ycsb`,
-    /// `tpch`, or `dml` (`--mix` / `MJ_MIX`).
+    /// `tpch`, or `dml` (`--mix`).
     pub mix: String,
+    /// Seeded fuzz queries the differential harness runs after its fixed
+    /// corpus (`--diff-fuzz`; `0` runs the fixed corpus only).
+    pub diff_fuzz: usize,
 }
 
 impl Default for HarnessConfig {
@@ -87,19 +90,13 @@ impl Default for HarnessConfig {
             arrival_rate: 200.0,
             admit_limit: 8,
             mix: String::from("oltp"),
+            diff_fuzz: DEFAULT_DIFF_FUZZ,
         }
     }
 }
 
-fn env_parsed<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `--jobs 0` / `MJ_JOBS=0` means "auto": one worker per available
-/// hardware thread (1 if the platform cannot tell).
+/// `--jobs 0` means "auto": one worker per available hardware thread (1 if
+/// the platform cannot tell).
 fn resolve_jobs(n: usize) -> usize {
     if n == 0 {
         std::thread::available_parallelism()
@@ -111,41 +108,14 @@ fn resolve_jobs(n: usize) -> usize {
 }
 
 impl HarnessConfig {
-    /// Defaults overridden by `MJ_*` environment variables only.
-    pub fn from_env() -> HarnessConfig {
-        let d = HarnessConfig::default();
-        HarnessConfig {
-            scale: env_parsed("MJ_SCALE", d.scale),
-            arm_scale: env_parsed("MJ_ARM_SCALE", d.arm_scale),
-            sec5_scale: env_parsed("MJ_SEC5_SCALE", d.sec5_scale),
-            cal_ops: env_parsed("MJ_CAL_OPS", d.cal_ops),
-            csv: std::env::var("MJ_CSV").is_ok(),
-            results_root: std::env::var("MJ_RESULTS_DIR")
-                .map(PathBuf::from)
-                .unwrap_or(d.results_root),
-            jobs: resolve_jobs(env_parsed("MJ_JOBS", d.jobs)),
-            filter: std::env::var("MJ_FILTER").ok().filter(|s| !s.is_empty()),
-            trace: std::env::var("MJ_TRACE").is_ok() || std::env::var("MJ_PROFILE").is_ok(),
-            trace_dir: std::env::var("MJ_TRACE")
-                .ok()
-                .filter(|v| !v.is_empty() && v != "1")
-                .map(PathBuf::from),
-            metrics: std::env::var("MJ_METRICS").is_ok() || std::env::var("MJ_PROFILE").is_ok(),
-            sessions: env_parsed("MJ_SESSIONS", d.sessions),
-            arrival_rate: env_parsed("MJ_ARRIVAL_RATE", d.arrival_rate),
-            admit_limit: env_parsed("MJ_ADMIT_LIMIT", d.admit_limit),
-            mix: std::env::var("MJ_MIX").ok().unwrap_or(d.mix),
-        }
-    }
-
-    /// Environment config plus CLI flags (flags win). Errors carry a usage
-    /// string suitable for printing.
-    pub fn from_env_and_args<I, S>(args: I) -> Result<HarnessConfig, String>
+    /// Defaults overridden by CLI flags. Errors carry a usage string
+    /// suitable for printing.
+    pub fn from_args<I, S>(args: I) -> Result<HarnessConfig, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut cfg = HarnessConfig::from_env();
+        let mut cfg = HarnessConfig::default();
         cfg.apply_args(args)?;
         Ok(cfg)
     }
@@ -189,6 +159,7 @@ impl HarnessConfig {
                     self.admit_limit = parse(&value("--admit-limit")?, "--admit-limit")?;
                 }
                 "--mix" => self.mix = value("--mix")?,
+                "--diff-fuzz" => self.diff_fuzz = parse(&value("--diff-fuzz")?, "--diff-fuzz")?,
                 other if other.starts_with("--trace=") => {
                     self.trace = true;
                     let dir = &other["--trace=".len()..];
@@ -215,7 +186,7 @@ usage: [--jobs N (0 = auto)] [--filter SUBSTR] [--scale MB] [--arm-scale MB]
        [--sec5-scale MB] [--cal-ops N] [--csv] [--results-dir DIR]
        [--trace[=DIR]] [--metrics] [--profile] [--sessions N]
        [--arrival-rate HZ] [--admit-limit N] [--mix oltp|ycsb|tpch|dml]
-       [--list]
+       [--diff-fuzz N] [--list]
 
 --trace writes trace.jsonl + trace.json (Chrome trace_event, energy-width
 spans) plus the mjprof rollups flame.folded (energy flamegraph) and
@@ -227,10 +198,9 @@ stream.
 --sessions/--arrival-rate/--admit-limit/--mix shape the serving experiment
 (serve_oltp): client-stream count, per-session open-loop rate in requests
 per virtual second, admission tokens, and the request-family mix.
-
-Environment fallbacks: MJ_JOBS, MJ_FILTER, MJ_SCALE, MJ_ARM_SCALE,
-MJ_SEC5_SCALE, MJ_CAL_OPS, MJ_CSV, MJ_RESULTS_DIR, MJ_TRACE, MJ_METRICS,
-MJ_PROFILE, MJ_SESSIONS, MJ_ARRIVAL_RATE, MJ_ADMIT_LIMIT, MJ_MIX.";
+--diff-fuzz sets how many seeded fuzz queries the differential harness
+(difftest) runs after its fixed corpus (default 50; 0 = corpus only); any
+disagreement or invariant violation fails the run.";
 
 #[cfg(test)]
 mod tests {
@@ -240,12 +210,24 @@ mod tests {
     #[test]
     fn flags_override_defaults() {
         let mut cfg = HarnessConfig::default();
-        cfg.apply_args(["--jobs", "4", "--filter", "fig0", "--scale", "2.5", "--csv"])
-            .unwrap();
+        assert_eq!(cfg.diff_fuzz, DEFAULT_DIFF_FUZZ);
+        cfg.apply_args([
+            "--jobs",
+            "4",
+            "--filter",
+            "fig0",
+            "--scale",
+            "2.5",
+            "--csv",
+            "--diff-fuzz",
+            "0",
+        ])
+        .unwrap();
         assert_eq!(cfg.jobs, 4);
         assert_eq!(cfg.filter.as_deref(), Some("fig0"));
         assert_eq!(cfg.scale, 2.5);
         assert!(cfg.csv);
+        assert_eq!(cfg.diff_fuzz, 0);
         assert!(!cfg.trace && !cfg.metrics);
     }
 
@@ -310,5 +292,6 @@ mod tests {
         assert!(cfg.apply_args(["--jobs", "zero"]).is_err());
         assert!(cfg.apply_args(["--wat"]).is_err());
         assert!(cfg.apply_args(["--filter"]).is_err());
+        assert!(cfg.apply_args(["--diff-fuzz", "some"]).is_err());
     }
 }

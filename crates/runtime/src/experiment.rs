@@ -24,11 +24,14 @@ use crate::config::HarnessConfig;
 /// A shard's (and ultimately an experiment's) rendered output.
 ///
 /// Implements [`fmt::Write`], so experiment code ports from `println!` to
-/// `writeln!(report, ..)` mechanically.
+/// `writeln!(report, ..)` mechanically. A report can also carry a failure
+/// ([`Report::fail`]): the scheduler still streams its text, then fails the
+/// experiment exactly as if a shard had panicked.
 #[derive(Debug, Default, Clone)]
 pub struct Report {
     /// The rendered text, exactly as it will appear on the report stream.
     pub text: String,
+    failure: Option<String>,
 }
 
 impl Report {
@@ -39,12 +42,30 @@ impl Report {
 
     /// Report holding `text`.
     pub fn from_text(text: impl Into<String>) -> Report {
-        Report { text: text.into() }
+        Report {
+            text: text.into(),
+            failure: None,
+        }
     }
 
-    /// Append another report's text.
+    /// Mark the experiment failed because of `why` (a check it runs did not
+    /// hold). The first failure recorded wins.
+    pub fn fail(&mut self, why: impl Into<String>) {
+        self.failure.get_or_insert_with(|| why.into());
+    }
+
+    /// Why the experiment failed, if [`Report::fail`] was called.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.as_deref()
+    }
+
+    /// Append another report's text, keeping its failure if this report has
+    /// none yet.
     pub fn append(&mut self, other: &Report) {
         self.text.push_str(&other.text);
+        if self.failure.is_none() {
+            self.failure = other.failure.clone();
+        }
     }
 }
 
@@ -226,6 +247,20 @@ mod tests {
         let e = TwoShards;
         let outs: Vec<Box<dyn Any + Send>> = (0..2).map(|s| e.run_shard(s, &ctx)).collect();
         assert_eq!(e.assemble(outs, &ctx).text, "shard 0\nshard 1\n");
+    }
+
+    #[test]
+    fn append_keeps_the_first_failure() {
+        let mut r = Report::from_text("a\n");
+        assert_eq!(r.failure(), None);
+        let mut bad = Report::from_text("b\n");
+        bad.fail("first");
+        r.append(&bad);
+        let mut worse = Report::from_text("c\n");
+        worse.fail("second");
+        r.append(&worse);
+        assert_eq!(r.text, "a\nb\nc\n");
+        assert_eq!(r.failure(), Some("first"));
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! * [`scheduler::run_suite`] — a thread-pool scheduler that farms shards
 //!   out to `--jobs` workers over a shared work queue and assembles each
 //!   experiment's report **in registry order**, so the report stream is
-//!   byte-identical between `--jobs 1` and `--jobs N`.
+//!   byte-identical between `--jobs 1` and `--jobs N`. An experiment whose
+//!   shard panics, or whose report is marked failed ([`Report::fail`], as
+//!   the differential harness does on any disagreement), fails the run.
 //! * [`CalibrationCache`] — a once-per-(arch, P-state) energy-table cache
 //!   shared by all workers, so parallel experiments never repeat the
 //!   expensive `calibrate_at` runs.
-//! * [`HarnessConfig`] — one typed configuration parsed once from CLI flags
-//!   with `MJ_*` environment variables as fallback, replacing the ad-hoc
-//!   per-binary `env_f64` lookups.
+//! * [`HarnessConfig`] — one typed configuration parsed once from CLI
+//!   flags, the harness's only input channel.
 //!
 //! The runtime is instrumented with the `mjobs` observability crate:
 //! `--trace` collects energy-attributed spans around every shard and writes
@@ -45,4 +46,4 @@ pub mod scheduler;
 pub use cal::CalibrationCache;
 pub use config::HarnessConfig;
 pub use experiment::{ExpCtx, Experiment, Report, SimStats, StatsSink};
-pub use scheduler::{run_single, run_suite, ExpOutcome, SuiteOutcome};
+pub use scheduler::{run_suite, ExpOutcome, SuiteOutcome};

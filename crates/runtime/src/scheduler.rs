@@ -60,7 +60,8 @@ pub struct ExpOutcome {
     pub host: Duration,
     /// Simulated cost recorded by its shards.
     pub sim: SimStats,
-    /// Error message if any shard (or assembly) panicked.
+    /// Error message if any shard (or assembly) panicked, or the assembled
+    /// report was marked failed ([`Report::fail`](crate::Report::fail)).
     pub error: Option<String>,
 }
 
@@ -116,7 +117,12 @@ struct Board {
 /// Run `registry` (filtered by `cfg.filter`) under `cfg.jobs` workers.
 ///
 /// Reports stream to `out` in registry order as they complete; the
-/// host-time summary (non-deterministic) goes to `summary`.
+/// host-time summary (non-deterministic) goes to `summary`. An experiment
+/// fails when one of its shards or its `assemble` panics, or when its
+/// assembled report is marked failed
+/// ([`Report::fail`](crate::Report::fail)): whatever text it produced
+/// streams first, then an `EXPERIMENT FAILED:` line, and
+/// [`SuiteOutcome::failures`] lists it.
 ///
 /// Do not pass a held [`StderrLock`](std::io::StderrLock) as either writer:
 /// workers print csv notices — and the panic hook prints shard panics — to
@@ -222,7 +228,10 @@ pub fn run_suite(
                     csv_dir.as_deref(),
                 );
                 match catch_unwind(AssertUnwindSafe(|| exp.assemble(shards, &ctx))) {
-                    Ok(report) => out.write_all(report.text.as_bytes())?,
+                    Ok(report) => {
+                        out.write_all(report.text.as_bytes())?;
+                        error = report.failure().map(|why| format!("{}: {why}", exp.name()));
+                    }
                     Err(p) => {
                         mjobs::metrics::counter_add("scheduler.assemble_panics", 1);
                         error = Some(format!("{} assemble: {}", exp.name(), panic_msg(&*p)));
@@ -427,27 +436,6 @@ fn write_traces(
     );
 }
 
-/// Run a single experiment (a thin-wrapper binary) with `cfg.jobs` workers,
-/// writing its report to `out` without the suite banner.
-pub fn run_single(
-    exp: &dyn Experiment,
-    cfg: &HarnessConfig,
-    out: &mut dyn Write,
-) -> std::io::Result<bool> {
-    let registry: [&dyn Experiment; 1] = [exp];
-    let mut banner = Vec::new();
-    let mut summary = Vec::new();
-    let mut no_filter = cfg.clone();
-    no_filter.filter = None;
-    let outcome = run_suite(&registry, &no_filter, &mut banner, &mut summary)?;
-    // Strip the 4-line suite banner; keep the report bytes.
-    let text = String::from_utf8(banner).expect("reports are UTF-8");
-    let body = text.splitn(5, '\n').nth(4).unwrap_or("");
-    out.write_all(body.as_bytes())?;
-    out.flush()?;
-    Ok(outcome.failures().is_empty())
-}
-
 fn worker(
     board: &Board,
     selected: &[&dyn Experiment],
@@ -578,13 +566,15 @@ fn write_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Report;
+    use crate::experiment::{downcast_shard, Report};
     use std::any::Any;
 
     struct Emit {
         name: &'static str,
         shards: usize,
         panic_on: Option<usize>,
+        /// `assemble` marks the report failed.
+        fail: bool,
     }
 
     impl Experiment for Emit {
@@ -602,6 +592,16 @@ mod tests {
             writeln!(r, "{} shard {shard}", self.name).unwrap();
             Box::new(r)
         }
+        fn assemble(&self, shards: Vec<Box<dyn Any + Send>>, _ctx: &ExpCtx<'_>) -> Report {
+            let mut r = Report::new();
+            for (i, s) in shards.into_iter().enumerate() {
+                r.append(&downcast_shard::<Report>(self.name, i, s));
+            }
+            if self.fail {
+                r.fail("2 checks disagree");
+            }
+            r
+        }
     }
 
     fn run_to_string(reg: &[&dyn Experiment], cfg: &HarnessConfig) -> (String, SuiteOutcome) {
@@ -617,16 +617,19 @@ mod tests {
             name: "alpha",
             shards: 3,
             panic_on: None,
+            fail: false,
         };
         let b = Emit {
             name: "beta",
             shards: 1,
             panic_on: None,
+            fail: false,
         };
         let c = Emit {
             name: "gamma",
             shards: 2,
             panic_on: None,
+            fail: false,
         };
         let reg: [&dyn Experiment; 3] = [&a, &b, &c];
 
@@ -654,11 +657,13 @@ mod tests {
             name: "fig01_x",
             shards: 1,
             panic_on: None,
+            fail: false,
         };
         let b = Emit {
             name: "table2_y",
             shards: 1,
             panic_on: None,
+            fail: false,
         };
         let reg: [&dyn Experiment; 2] = [&a, &b];
         let cfg = HarnessConfig {
@@ -676,11 +681,13 @@ mod tests {
             name: "bad",
             shards: 2,
             panic_on: Some(1),
+            fail: false,
         };
         let b = Emit {
             name: "good",
             shards: 1,
             panic_on: None,
+            fail: false,
         };
         let reg: [&dyn Experiment; 2] = [&a, &b];
         let cfg = HarnessConfig {
@@ -704,11 +711,44 @@ mod tests {
     }
 
     #[test]
+    fn failed_report_streams_then_fails_that_experiment_only() {
+        let a = Emit {
+            name: "checked",
+            shards: 2,
+            panic_on: None,
+            fail: true,
+        };
+        let b = Emit {
+            name: "good",
+            shards: 1,
+            panic_on: None,
+            fail: false,
+        };
+        let reg: [&dyn Experiment; 2] = [&a, &b];
+        let cfg = HarnessConfig {
+            jobs: 2,
+            ..HarnessConfig::default()
+        };
+        let (out, outcome) = run_to_string(&reg, &cfg);
+        assert!(
+            out.contains(
+                "checked shard 0\nchecked shard 1\n\
+                 EXPERIMENT FAILED: checked: 2 checks disagree\n"
+            ),
+            "the text streams, then the failure names the experiment, out = {out:?}"
+        );
+        assert!(out.contains("# good\n"), "out = {out:?}");
+        assert_eq!(out.matches("EXPERIMENT FAILED").count(), 1, "out = {out:?}");
+        assert_eq!(outcome.failures(), vec!["checked"]);
+    }
+
+    #[test]
     fn trace_and_metrics_artifacts_are_written() {
         let a = Emit {
             name: "traced_exp",
             shards: 2,
             panic_on: None,
+            fail: false,
         };
         let reg: [&dyn Experiment; 1] = [&a];
         let dir =
@@ -765,22 +805,5 @@ mod tests {
             std::fs::read_to_string(run_dirs[0].join("metrics.json")).expect("metrics.json");
         mjobs::json::parse(metrics.trim()).expect("metrics.json parses");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_single_strips_banner() {
-        let a = Emit {
-            name: "solo",
-            shards: 2,
-            panic_on: None,
-        };
-        let mut out = Vec::new();
-        let cfg = HarnessConfig::default();
-        let ok = run_single(&a, &cfg, &mut out).expect("io");
-        assert!(ok);
-        assert_eq!(
-            String::from_utf8(out).unwrap(),
-            "solo shard 0\nsolo shard 1\n"
-        );
     }
 }

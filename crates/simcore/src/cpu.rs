@@ -88,6 +88,39 @@ pub struct RunStats {
     pub fallbacks: u64,
 }
 
+impl RunStats {
+    /// Lines served by a fast path: batched, cold-batched or replayed.
+    pub fn served(&self) -> u64 {
+        self.batched_lines + self.cold_batched_lines + self.replayed_lines
+    }
+}
+
+impl std::ops::AddAssign for RunStats {
+    fn add_assign(&mut self, o: RunStats) {
+        self.batched_lines += o.batched_lines;
+        self.cold_batched_lines += o.cold_batched_lines;
+        self.replayed_lines += o.replayed_lines;
+        self.fallbacks += o.fallbacks;
+    }
+}
+
+impl std::ops::SubAssign for RunStats {
+    fn sub_assign(&mut self, o: RunStats) {
+        self.batched_lines -= o.batched_lines;
+        self.cold_batched_lines -= o.cold_batched_lines;
+        self.replayed_lines -= o.replayed_lines;
+        self.fallbacks -= o.fallbacks;
+    }
+}
+
+impl std::ops::Sub for RunStats {
+    type Output = RunStats;
+    fn sub(mut self, o: RunStats) -> RunStats {
+        self -= o;
+        self
+    }
+}
+
 /// Drain the process-wide fast-path counters, summed over every [`Cpu`]
 /// dropped since the last call. Harnesses surface these as the
 /// `simcore.run_batched_lines` / `simcore.run_cold_batched_lines` /

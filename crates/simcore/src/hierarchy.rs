@@ -558,8 +558,7 @@ impl Hierarchy {
     }
 
     /// The oracle's `run_prefetcher` for the fused walk: the streamer is
-    /// driven through the run cursor (O(1) per ascending line, closed-form
-    /// fast-forward over the provably-silent training stretch) and the
+    /// driven through the run cursor (O(1) per ascending line) and the
     /// knowledge windows elide probes of already-proven prefetch targets.
     fn prefetch_fused(
         &mut self,
@@ -626,13 +625,7 @@ impl Hierarchy {
             }
         }
         let proposals = match &mut ctx.cursor {
-            Some(cur) if cur.continues(ln) => {
-                if self.streamer.silent_ascending_len(cur) > 0 {
-                    self.streamer.fast_forward_ascending(cur, 1);
-                    return;
-                }
-                self.streamer.step_ascending(cur, line)
-            }
+            Some(cur) if cur.continues(ln) => self.streamer.step_ascending(cur, line),
             _ => {
                 let (p, cur) = self.streamer.begin_run(line);
                 ctx.cursor = Some(cur);

@@ -199,46 +199,6 @@ impl Streamer {
         true
     }
 
-    /// How many upcoming ascending accesses on this cursor's stream are
-    /// *silent* (train the stream without proposing anything): the stream
-    /// only fires once `trained` reaches `TRAIN`, and each silent step adds
-    /// one. A previously descending stream retrains from zero, spending one
-    /// extra silent step on the direction flip.
-    pub fn silent_ascending_len(&self, cur: &RunCursor) -> u64 {
-        let s = &self.streams[cur.idx];
-        debug_assert!(s.valid);
-        if s.dir == 0 || s.dir == 1 {
-            (TRAIN as u64).saturating_sub(1 + s.trained as u64)
-        } else {
-            TRAIN as u64
-        }
-    }
-
-    /// Closed-form advance over `k` silent ascending accesses (`k` at most
-    /// [`Streamer::silent_ascending_len`]): the state after `k` proposal-free
-    /// steps is determined without stepping each line — the clock advances by
-    /// `k`, the stream's LRU ends at the final clock (intermediate values are
-    /// unobservable: nothing else touches the table in between), `last_line`
-    /// moves `k` lines up, and `trained` accumulates one per step (restarting
-    /// at zero when the first step flips a descending stream).
-    pub fn fast_forward_ascending(&mut self, cur: &mut RunCursor, k: u64) {
-        debug_assert!(k <= self.silent_ascending_len(cur));
-        if k == 0 {
-            return;
-        }
-        self.clock += k;
-        let s = &mut self.streams[cur.idx];
-        s.lru = self.clock;
-        if s.dir == -1 {
-            s.trained = (k - 1) as u32;
-        } else {
-            s.trained += k as u32;
-        }
-        s.dir = 1;
-        s.last_line += k;
-        cur.last_line += k;
-    }
-
     fn observe(&mut self, line_addr: u64) -> (Proposals, usize) {
         self.clock += 1;
         let line = line_addr / crate::LINE;

@@ -7,7 +7,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use mjrt::{run_single, HarnessConfig};
+use mjrt::{run_suite, HarnessConfig};
 use mjserve::{serve, MixKind, ServeConfig};
 use simcore::{ArchConfig, Cpu};
 
@@ -27,12 +27,23 @@ fn run(jobs: usize) -> String {
         arrival_rate: 3000.0,
         admit_limit: 2,
         csv: false,
+        filter: Some("serve_oltp".into()),
         ..HarnessConfig::default()
     };
-    let exp = bench::experiments::find("serve_oltp").expect("registered experiment");
     let mut out = Vec::new();
-    let ok = run_single(exp, &cfg, &mut out).expect("io");
-    assert!(ok, "serve_oltp must succeed");
+    let mut summary = Vec::new();
+    let outcome =
+        run_suite(bench::experiments::REGISTRY, &cfg, &mut out, &mut summary).expect("io");
+    assert_eq!(
+        outcome.experiments.len(),
+        1,
+        "the filter selects serve_oltp only"
+    );
+    assert!(
+        outcome.failures().is_empty(),
+        "serve_oltp must succeed: {:?}",
+        outcome.failures()
+    );
     String::from_utf8(out).expect("reports are UTF-8")
 }
 
