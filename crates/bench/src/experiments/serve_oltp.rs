@@ -27,7 +27,7 @@ use analysis::report::TextTable;
 use engines::EngineKind;
 use mjrt::experiment::downcast_shard;
 use mjrt::{ExpCtx, Experiment, HarnessConfig, Report};
-use mjserve::{serve, MixKind, ServeConfig, ServeSummary};
+use mjserve::{serve, ServeConfig, ServeSummary};
 use simcore::{ArchConfig, Cpu};
 
 /// Arrival-rate multiples swept per engine (under-, at-, and over-load
@@ -50,7 +50,7 @@ fn admit_sweep(base: u32) -> Vec<u32> {
 fn serve_cfg(cfg: &HarnessConfig, kind: EngineKind, rate_mult: f64, admit: u32) -> ServeConfig {
     ServeConfig {
         kind,
-        mix: MixKind::parse(&cfg.mix).unwrap_or(MixKind::Oltp),
+        mix: cfg.mix,
         sessions: cfg.sessions,
         arrival_rate_hz: cfg.arrival_rate * rate_mult,
         admit_limit: admit,
@@ -206,7 +206,8 @@ impl Experiment for ServeOltp {
         writeln!(
             r,
             "== Serving: {} sessions, mix {}, open-loop tail latency vs energy/request ==",
-            ctx.cfg.sessions, ctx.cfg.mix
+            ctx.cfg.sessions,
+            ctx.cfg.mix.name()
         )
         .unwrap();
         write!(r, "{}", t.render()).unwrap();

@@ -6,6 +6,8 @@
 
 use std::path::PathBuf;
 
+use mjserve::MixKind;
+
 /// Calibration op budget for harness runs (larger than the unit-test quick
 /// budget; still seconds, not minutes).
 pub const DEFAULT_CAL_OPS: u64 = 120_000;
@@ -56,7 +58,7 @@ pub struct HarnessConfig {
     /// Print the metrics summary after the suite and write `metrics.json`
     /// into the run directory (`--metrics`).
     pub metrics: bool,
-    /// Client sessions for the serving experiment (`--sessions`).
+    /// Client sessions for the serving experiment (`--sessions`, at least 1).
     pub sessions: u32,
     /// Per-session open-loop arrival rate in requests per virtual second
     /// for the serving experiment (`--arrival-rate`).
@@ -66,7 +68,7 @@ pub struct HarnessConfig {
     pub admit_limit: u32,
     /// Request-family mix for the serving experiment: `oltp`, `ycsb`,
     /// `tpch`, or `dml` (`--mix`).
-    pub mix: String,
+    pub mix: MixKind,
     /// Seeded fuzz queries the differential harness runs after its fixed
     /// corpus (`--diff-fuzz`; `0` runs the fixed corpus only).
     pub diff_fuzz: usize,
@@ -89,7 +91,7 @@ impl Default for HarnessConfig {
             sessions: 64,
             arrival_rate: 200.0,
             admit_limit: 8,
-            mix: String::from("oltp"),
+            mix: MixKind::Oltp,
             diff_fuzz: DEFAULT_DIFF_FUZZ,
         }
     }
@@ -151,14 +153,21 @@ impl HarnessConfig {
                 "--cal-ops" => self.cal_ops = parse(&value("--cal-ops")?, "--cal-ops")?,
                 "--csv" => self.csv = true,
                 "--results-dir" => self.results_root = PathBuf::from(value("--results-dir")?),
-                "--sessions" => self.sessions = parse(&value("--sessions")?, "--sessions")?,
+                "--sessions" => match parse(&value("--sessions")?, "--sessions")? {
+                    0 => return Err(format!("--sessions must be at least 1\n{USAGE}")),
+                    n => self.sessions = n,
+                },
                 "--arrival-rate" => {
                     self.arrival_rate = parse(&value("--arrival-rate")?, "--arrival-rate")?;
                 }
                 "--admit-limit" => {
                     self.admit_limit = parse(&value("--admit-limit")?, "--admit-limit")?;
                 }
-                "--mix" => self.mix = value("--mix")?,
+                "--mix" => {
+                    let v = value("--mix")?;
+                    self.mix = MixKind::parse(&v)
+                        .ok_or_else(|| format!("unknown mix {v:?} for --mix\n{USAGE}"))?;
+                }
                 "--diff-fuzz" => self.diff_fuzz = parse(&value("--diff-fuzz")?, "--diff-fuzz")?,
                 other if other.starts_with("--trace=") => {
                     self.trace = true;
@@ -282,7 +291,7 @@ mod tests {
         assert_eq!(cfg.sessions, 16);
         assert_eq!(cfg.arrival_rate, 450.5);
         assert_eq!(cfg.admit_limit, 3);
-        assert_eq!(cfg.mix, "ycsb");
+        assert_eq!(cfg.mix, MixKind::Ycsb);
         assert!(cfg.apply_args(["--sessions", "many"]).is_err());
     }
 
@@ -293,5 +302,8 @@ mod tests {
         assert!(cfg.apply_args(["--wat"]).is_err());
         assert!(cfg.apply_args(["--filter"]).is_err());
         assert!(cfg.apply_args(["--diff-fuzz", "some"]).is_err());
+        assert!(cfg.apply_args(["--mix", "bogus"]).is_err());
+        assert!(cfg.apply_args(["--sessions", "0"]).is_err());
+        assert_eq!((cfg.mix, cfg.sessions), (MixKind::Oltp, 64));
     }
 }

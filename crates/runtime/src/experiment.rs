@@ -40,14 +40,6 @@ impl Report {
         Report::default()
     }
 
-    /// Report holding `text`.
-    pub fn from_text(text: impl Into<String>) -> Report {
-        Report {
-            text: text.into(),
-            failure: None,
-        }
-    }
-
     /// Mark the experiment failed because of `why` (a check it runs did not
     /// hold). The first failure recorded wins.
     pub fn fail(&mut self, why: impl Into<String>) {
@@ -251,12 +243,15 @@ mod tests {
 
     #[test]
     fn append_keeps_the_first_failure() {
-        let mut r = Report::from_text("a\n");
+        let mut r = Report::new();
+        writeln!(r, "a").unwrap();
         assert_eq!(r.failure(), None);
-        let mut bad = Report::from_text("b\n");
+        let mut bad = Report::new();
+        writeln!(bad, "b").unwrap();
         bad.fail("first");
         r.append(&bad);
-        let mut worse = Report::from_text("c\n");
+        let mut worse = Report::new();
+        writeln!(worse, "c").unwrap();
         worse.fail("second");
         r.append(&worse);
         assert_eq!(r.text, "a\nb\nc\n");

@@ -5,7 +5,9 @@
 //! physical addresses, per the ARM1176JZF-S manual); DRAM starts at
 //! [`Arena::DRAM_BASE`]. The arena is a bump allocator — the workloads in this
 //! repository build their working sets once and traverse them, so freeing is
-//! only supported wholesale via [`Arena::reset_dram`].
+//! only supported wholesale via [`Arena::reset_dram`]. DRAM is one zeroed host
+//! allocation of its capacity; host memory grows only with the pages touched,
+//! since the OS zeroes a large allocation's pages lazily (Linux overcommit).
 
 use std::fmt;
 
@@ -83,13 +85,14 @@ impl Region {
 ///
 /// The arena stores *real bytes* so database pages, B-trees and tuples are
 /// genuine data structures, not abstractions; only the *timing and energy* of
-/// touching them is simulated (by [`crate::Cpu`]).
+/// touching them is simulated (by [`crate::Cpu`]). DRAM is one zeroed host
+/// allocation of its capacity, whose pages take host memory once touched.
 pub struct Arena {
     tcm: Vec<u8>,
     tcm_next: u64,
     dram: Vec<u8>,
     dram_next: u64,
-    dram_cap: u64,
+    dram_high: u64,
 }
 
 impl Arena {
@@ -101,27 +104,24 @@ impl Arena {
         Arena {
             tcm: vec![0; tcm_size as usize],
             tcm_next: 0,
-            dram: Vec::new(),
+            dram: vec![0; dram_cap as usize],
             dram_next: 0,
-            dram_cap,
+            dram_high: 0,
         }
     }
 
     /// Allocate `len` bytes of DRAM, 64-byte aligned.
     pub fn alloc(&mut self, len: u64) -> Result<Region, MemError> {
         let aligned = len.div_ceil(crate::LINE) * crate::LINE;
-        if self.dram_next + aligned > self.dram_cap {
+        if self.dram_next + aligned > self.dram.len() as u64 {
             return Err(MemError::OutOfMemory {
                 requested: aligned,
-                available: self.dram_cap - self.dram_next,
+                available: self.dram.len() as u64 - self.dram_next,
             });
         }
         let addr = DRAM_BASE + self.dram_next;
         self.dram_next += aligned;
-        let need = self.dram_next as usize;
-        if self.dram.len() < need {
-            self.dram.resize(need, 0);
-        }
+        self.dram_high = self.dram_high.max(self.dram_next);
         Ok(Region { addr, len })
     }
 
@@ -168,7 +168,8 @@ impl Arena {
             self.tcm.get(a..a + len).ok_or(MemError::BadAddress(addr))
         } else {
             let a = (addr - DRAM_BASE) as usize;
-            self.dram.get(a..a + len).ok_or(MemError::BadAddress(addr))
+            let dram = &self.dram[..self.dram_high as usize];
+            dram.get(a..a + len).ok_or(MemError::BadAddress(addr))
         }
     }
 
@@ -180,9 +181,8 @@ impl Arena {
                 .ok_or(MemError::BadAddress(addr))
         } else {
             let a = (addr - DRAM_BASE) as usize;
-            self.dram
-                .get_mut(a..a + len)
-                .ok_or(MemError::BadAddress(addr))
+            let dram = &mut self.dram[..self.dram_high as usize];
+            dram.get_mut(a..a + len).ok_or(MemError::BadAddress(addr))
         }
     }
 
@@ -282,11 +282,36 @@ mod tests {
     }
 
     #[test]
+    fn line_past_last_allocation_is_bad_address() {
+        // Inside the capacity, but never allocated.
+        let mut a = Arena::new(0, 1 << 20);
+        let r = a.alloc(100).unwrap(); // rounds up to two lines
+        let past = r.addr + 2 * crate::LINE;
+        assert_eq!(a.read_u64(past - 8), Ok(0));
+        assert_eq!(a.read_u64(past), Err(MemError::BadAddress(past)));
+        assert_eq!(a.write_u64(past, 1), Err(MemError::BadAddress(past)));
+    }
+
+    #[test]
+    fn fresh_allocation_reads_zero() {
+        let mut a = Arena::new(0, 1 << 20);
+        let r1 = a.alloc(4096).unwrap();
+        a.write(r1.addr, &[0xff; 4096]).unwrap();
+        let r2 = a.alloc(4096).unwrap();
+        let mut out = [0xaa; 4096];
+        a.read(r2.addr, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+    }
+
+    #[test]
     fn reset_dram_reuses_space() {
         let mut a = Arena::new(0, 256);
-        a.alloc(256).unwrap();
+        let r = a.alloc(256).unwrap();
+        a.write_u64(r.addr + 192, 7).unwrap();
         assert!(a.alloc(64).is_err());
         a.reset_dram();
+        // Below the old high-water mark the bytes stay readable and kept.
+        assert_eq!(a.read_u64(r.addr + 192), Ok(7));
         assert!(a.alloc(64).is_ok());
     }
 }
