@@ -30,9 +30,10 @@
 //! `--e2e` additionally runs the full repro_all experiment suite twice
 //! in-process — once with the fast paths disabled, once enabled — checks the
 //! report streams are byte-identical, and records both wall-clocks. Results
-//! are written as JSON (schema v3) to `BENCH_simcore.json` (or the path
-//! given as the first non-flag argument) and the file is re-read and
-//! validated before exit. `--smoke` shrinks the iteration counts for CI and
+//! are written as JSON (schema v3) to the path given as a non-flag
+//! argument, by default `BENCH_simcore.json` in full mode and
+//! `target/perfbench-smoke.json` in smoke mode, and the file is re-read
+//! and validated before exit. `--smoke` shrinks the iteration counts for CI and
 //! gates on the `scan_cold` and `columnar_scan` floors; the full mode gates on every
 //! trace's hard floor and additionally reports (without failing) any trace
 //! that met its floor but not its design target — see [`THRESHOLDS`].
@@ -492,17 +493,41 @@ fn validate(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut e2e = false;
-    let mut path = String::from("BENCH_simcore.json");
-    for arg in std::env::args().skip(1) {
+/// Command-line options.
+#[derive(Debug, PartialEq)]
+struct Args {
+    smoke: bool,
+    e2e: bool,
+    /// Where the JSON goes: the non-flag argument, else the
+    /// committed `BENCH_simcore.json` in full mode and a file under
+    /// `target/` in smoke mode, so a smoke run never overwrites the
+    /// committed full-mode figures.
+    path: String,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
+    let (mut smoke, mut e2e, mut path) = (false, false, None);
+    for arg in args {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--e2e" => e2e = true,
-            _ => path = arg,
+            _ => path = Some(arg),
         }
     }
+    let default = if smoke {
+        "target/perfbench-smoke.json"
+    } else {
+        "BENCH_simcore.json"
+    };
+    Args {
+        smoke,
+        e2e,
+        path: path.unwrap_or_else(|| default.to_string()),
+    }
+}
+
+fn main() -> ExitCode {
+    let Args { smoke, e2e, path } = parse_args(std::env::args().skip(1));
     // Smoke keeps every trace and the validation but trims the run to a
     // couple of seconds; the committed BENCH_simcore.json comes from full.
     let (mode, scale) = if smoke { ("smoke", 1) } else { ("full", 20) };
@@ -540,6 +565,11 @@ fn main() -> ExitCode {
     }
 
     let json = to_json(&results, suite.as_ref(), mode);
+    let dir = std::path::Path::new(&path).parent();
+    if let Some(Err(e)) = dir.map(std::fs::create_dir_all) {
+        eprintln!("perfbench: cannot create the directory of {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("perfbench: cannot write {path}: {e}");
         return ExitCode::FAILURE;
@@ -586,6 +616,25 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Args {
+        parse_args(list.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn default_output_keeps_smoke_runs_off_the_committed_file() {
+        let full = args(&[]);
+        assert!(!full.smoke && !full.e2e);
+        assert_eq!(full.path, "BENCH_simcore.json");
+        assert_eq!(args(&["--e2e"]).path, "BENCH_simcore.json");
+        let smoke = args(&["--smoke"]);
+        assert!(smoke.smoke && !smoke.e2e);
+        assert_eq!(smoke.path, "target/perfbench-smoke.json");
+        for list in [&["--smoke", "out.json"][..], &["out.json", "--smoke"]] {
+            assert_eq!(args(list).path, "out.json", "{list:?}");
+        }
+        assert_eq!(args(&["out.json"]).path, "out.json");
+    }
 
     /// The committed `BENCH_simcore.json` must agree with the code that
     /// writes it: every trace's floor and target equal [`THRESHOLDS`], and

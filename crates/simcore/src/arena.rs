@@ -167,7 +167,8 @@ impl Arena {
             let a = addr as usize;
             self.tcm.get(a..a + len).ok_or(MemError::BadAddress(addr))
         } else {
-            let a = (addr - DRAM_BASE) as usize;
+            let off = addr.checked_sub(DRAM_BASE);
+            let a = off.ok_or(MemError::BadAddress(addr))? as usize;
             let dram = &self.dram[..self.dram_high as usize];
             dram.get(a..a + len).ok_or(MemError::BadAddress(addr))
         }
@@ -180,7 +181,8 @@ impl Arena {
                 .get_mut(a..a + len)
                 .ok_or(MemError::BadAddress(addr))
         } else {
-            let a = (addr - DRAM_BASE) as usize;
+            let off = addr.checked_sub(DRAM_BASE);
+            let a = off.ok_or(MemError::BadAddress(addr))? as usize;
             let dram = &mut self.dram[..self.dram_high as usize];
             dram.get_mut(a..a + len).ok_or(MemError::BadAddress(addr))
         }
@@ -279,6 +281,16 @@ mod tests {
     fn bad_address_is_reported() {
         let a = Arena::new(0, 1 << 20);
         assert!(a.read_u64(Arena::DRAM_BASE + 4096).is_err());
+    }
+
+    #[test]
+    fn gap_address_is_bad_address() {
+        // Above the TCM window, below DRAM: no backing store at all.
+        let mut a = Arena::new(1024, 1 << 20);
+        a.alloc(64).unwrap();
+        let gap = 0x0800_0000;
+        assert_eq!(a.read_u64(gap), Err(MemError::BadAddress(gap)));
+        assert_eq!(a.write_u64(gap, 1), Err(MemError::BadAddress(gap)));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::arch::{ArchConfig, ArchKind};
 use crate::arena::{Arena, MemError, Region};
 use crate::dvfs::{Governor, PState};
-use crate::energy::{EnergyMeter, EnergyModel, OpClass, Price, RaplReading};
+use crate::energy::{EnergyMeter, EnergyModel, OpClass, Price, RaplReading, Rounds};
 use crate::hierarchy::{AccessResult, ColdCtx, Hierarchy, HitLevel};
 use crate::pmu::{Event, Pmu, PmuSnapshot};
 use crate::timeline::TimelineSampler;
@@ -46,6 +46,13 @@ static RUN_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_COLD_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_REPLAYED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// Repeats charged whole after one probe on this thread, so unit tests
+    /// can check that a repeat on a resident line takes that path.
+    static ONE_PROBE_REPEATS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Process-wide switch for the batched/fused fast paths. On by default;
 /// turned off, every verb routes through the scalar reference step.
@@ -227,14 +234,27 @@ impl Budget {
     }
 }
 
+/// The closed forms of a run of identical known hits, one per accumulator
+/// it advances (see [`Rounds`]): the three meter domains, busy cycles, the
+/// clock, and the governor window's and the sampler window's active time.
+#[derive(Debug, Clone, Copy, Default)]
+struct KnownSums {
+    meter: [Rounds; 3],
+    busy: Rounds,
+    time: Rounds,
+    win: Rounds,
+    sampler: Rounds,
+}
+
 /// The per-access charge constants of every fast path — hot batches,
 /// replay, repeats and the fused cold-run/chase steps — at one
 /// `(pstate, ifetch_discount)` operating point. Every field holds the
 /// *exact* f64 the reference step computes for the same access — prices via
 /// the same model calls, stall cycles via the same `lat / mlp` divisions,
 /// wall-time steps via the same `/ hz` divisions — so the fast paths replay
-/// the scalar additions operand-for-operand and stay bit-identical. Only
-/// lookups and dispatch are hoisted, never the accumulating arithmetic.
+/// the scalar additions operand-for-operand and stay bit-identical. Runs
+/// of identical known hits advance each accumulator by the exact closed
+/// form of those additions, cached here so a rebuild clears it.
 #[derive(Debug, Clone, Default)]
 struct Prices {
     /// The operating point the table was built for (`None` until first use).
@@ -274,6 +294,8 @@ struct Prices {
     /// Upper bound on the simulated seconds of one fused stream load or
     /// store: one busy cycle plus the longest stream stall (DRAM's).
     stream_step_s: f64,
+    /// `charge_known_run`'s closed forms, indexed `[write][tcm]`.
+    known: [[KnownSums; 2]; 2],
 }
 
 impl Prices {
@@ -847,17 +869,6 @@ impl Cpu {
         self.last_class = class;
     }
 
-    /// `advance(step.cycles, 0.0)`, less the sampler credit: hot batches
-    /// add it after their loop, one-access steps through
-    /// [`Cpu::busy_step`].
-    #[inline]
-    fn busy_fast(&mut self, step: BusyStep) {
-        self.busy_cycles += step.cycles;
-        self.time_s += step.dt;
-        self.meter.charge(step.bg_nj);
-        self.win_active_s += step.dt;
-    }
-
     /// `advance(step.cycles, 0.0)`: replayed from the table's operands, or,
     /// for an access that may reach an edge (`EDGE`), `advance` itself,
     /// which prices the time at the P-state of the moment and ticks the
@@ -866,10 +877,13 @@ impl Cpu {
     fn busy_step<const EDGE: bool>(&mut self, step: BusyStep) {
         if EDGE {
             self.advance(step.cycles, 0.0);
-        } else {
-            self.busy_fast(step);
-            self.credit_sampler(step.dt, 1);
+            return;
         }
+        self.busy_cycles += step.cycles;
+        self.time_s += step.dt;
+        self.meter.charge(step.bg_nj);
+        self.win_active_s += step.dt;
+        self.credit_sampler(step.dt);
     }
 
     /// `advance(0.0, step.cycles)`, replayed or called as in
@@ -888,18 +902,17 @@ impl Cpu {
         self.time_s += step.dt;
         self.meter.charge_power(self.prices.bg, step.dt);
         self.win_active_s += step.dt;
-        self.credit_sampler(step.dt, 1);
+        self.credit_sampler(step.dt);
     }
 
-    /// The sampler's share of `pass_time` for `n` active steps of `dt`
-    /// seconds, in order: below its next tick, all an attached sampler's
-    /// `advance` does is add `dt` to the window's active time.
+    /// The sampler's share of `pass_time` for one active step of `dt`
+    /// seconds: below its next tick, all an attached sampler's `advance`
+    /// does is add `dt` to the window's active time. A run of known hits
+    /// credits all of its steps at once (`credit_active_run`).
     #[inline]
-    fn credit_sampler(&mut self, dt: f64, n: u64) {
+    fn credit_sampler(&mut self, dt: f64) {
         if let Some(s) = &mut self.sampler {
-            for _ in 0..n {
-                s.credit_active(dt);
-            }
+            s.credit_active(dt);
         }
     }
 
@@ -931,19 +944,23 @@ impl Cpu {
 
     /// Charge `k` known L1D (or TCM) hits.
     ///
-    /// This replays, per access, the exact f64 additions of the scalar path
-    /// — fetch, optional decode switch, hit price, busy cycles, wall time,
-    /// background energy, governor-window credit — with every operand
-    /// precomputed, then the `k` sampler credits. Because each operand is
-    /// the identical f64 the scalar path would have produced and each
-    /// accumulator sees its additions in the same order, the accumulators
-    /// end bit-identical; only per-access *lookups* are hoisted, never the
-    /// arithmetic.
+    /// The scalar path's f64 additions per hit are fetch, an optional
+    /// decode switch, the hit price, busy cycles, wall time, background
+    /// energy, governor-window credit and sampler credit, each operand the
+    /// identical f64 the scalar path would produce. The first hit replays
+    /// them one by one, since it may pay the decode switch. The other
+    /// `k - 1` repeat one round of the same operands in every accumulator,
+    /// so each accumulator advances by the exact closed form of that loop
+    /// ([`Rounds`], cached per hit class in the price table): bit-identical
+    /// to the additions, in O(1) while it stays in one binade.
     ///
     /// Preconditions (enforced by callers): no fillable chase shadow,
     /// every access a known L1D/TCM hit, and all `k` end before the next
     /// governor-window edge or sampler tick ([`Budget::lines`]).
     fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
+        if k == 0 {
+            return;
+        }
         self.ensure_prices();
         let p = &self.prices;
         let step = p.hot_step(write);
@@ -953,14 +970,20 @@ impl Cpu {
             let level = if tcm { HitLevel::Tcm } else { HitLevel::L1d };
             p.load[level_ix(level)][0]
         };
-        let class = write as u8;
+        let round = [p.fetch, price, step.bg_nj];
         self.pmu.add(Event::Instructions, k);
-        for _ in 0..k {
-            self.frontend_fast(class);
-            self.meter.charge(price);
-            self.busy_fast(step);
+        self.frontend_fast(write as u8);
+        self.meter.charge(price);
+        self.busy_step::<false>(step);
+        let rest = k - 1;
+        let sums = &mut self.prices.known[write as usize][tcm as usize];
+        self.meter.charge_rounds(round, rest, &mut sums.meter);
+        sums.busy.add(&mut self.busy_cycles, [step.cycles], rest);
+        sums.time.add(&mut self.time_s, [step.dt], rest);
+        sums.win.add(&mut self.win_active_s, [step.dt], rest);
+        if let Some(s) = &mut self.sampler {
+            s.credit_active_run(step.dt, rest, &mut sums.sampler);
         }
-        self.credit_sampler(step.dt, k);
     }
 
     /// Charge `k` TCM accesses (always hits; no cache or DRAM state).
@@ -1343,8 +1366,13 @@ impl Cpu {
         if n == 0 {
             return;
         }
-        // First access resolves residency/allocation through a full walk
-        // (the single verb: its fast step, or the reference step).
+        if self.repeat_known_hits(addr & !(crate::LINE - 1), n, write) {
+            self.run_batched_lines += n - 1;
+            return;
+        }
+        // Otherwise the first access resolves residency/allocation through
+        // a full walk (the single verb: its fast step, or the reference
+        // step), and the rest batch as far as the time budget allows.
         if write {
             self.store(addr);
         } else {
@@ -1380,6 +1408,31 @@ impl Cpu {
             self.run_batched_lines += k;
             rest -= k;
         }
+    }
+
+    /// One probe of `line` for a repeat of `n` accesses: with the fast
+    /// path on, no fillable chase shadow and all `n` ending before the next
+    /// edge, the `n` accesses of a TCM line or of a resident L1D line, the
+    /// first included, are `n` known hits, charged here. Returns whether
+    /// it charged them; otherwise nothing changed.
+    fn repeat_known_hits(&mut self, line: u64, n: u64, write: bool) -> bool {
+        if !fastpath_enabled() || self.fillable > 0.0 {
+            return false;
+        }
+        self.ensure_prices();
+        if self.hits_before_edge(write) < n {
+            return false;
+        }
+        if line < self.hier.tcm_limit() {
+            self.charge_tcm_run(write, n);
+        } else if self.hier.l1_repeat(line, n, write, &mut self.pmu) {
+            self.charge_known_run(write, false, n);
+        } else {
+            return false;
+        }
+        #[cfg(test)]
+        ONE_PROBE_REPEATS.with(|c| c.set(c.get() + 1));
+        true
     }
 
     /// The one-access step of [`Cpu::load`] / [`Cpu::store`], and so of
@@ -1505,20 +1558,24 @@ impl Cpu {
 
     /// Simulate `n` repeated loads of the line containing `addr`.
     ///
-    /// The first load goes through the full hierarchy; the remaining `n-1`
-    /// are *known hits* on the now-resident line (or TCM window), restamped
-    /// in O(1) and charged through the batched fast path: interpreter-style
-    /// engines re-read the same hot structures hundreds of times per tuple,
-    /// and simulating each probe individually would add nothing but
-    /// wall-clock. Counters, joules and cycles are bit-identical to issuing
+    /// One probe finds the line resident in L1D (or in the TCM window), so
+    /// all `n` loads are *known hits*, restamped in O(1) and charged in
+    /// O(1) through the batched fast path: interpreter-style engines
+    /// re-read the same hot structures hundreds of times per tuple, and
+    /// simulating each probe individually would add nothing but
+    /// wall-clock. When the line is absent, under a fillable chase shadow
+    /// or with a governor-window edge or sampler tick inside the run, the
+    /// first load goes through the full hierarchy and the rest batch up to
+    /// the edge. Counters, joules and cycles are bit-identical to issuing
     /// the `n` loads one at a time.
     pub fn load_repeat(&mut self, addr: u64, n: u64) {
         self.repeat_access(addr, n, false);
     }
 
-    /// Simulate `n` repeated stores to the line containing `addr` (first one
-    /// full-path, the rest known L1D/TCM hits — bit-identical to `n` scalar
-    /// stores, like [`Cpu::load_repeat`]).
+    /// Simulate `n` repeated stores to the line containing `addr` (known
+    /// L1D/TCM hits after one probe, or a full-path first store when that
+    /// probe cannot settle them — bit-identical to `n` scalar stores, like
+    /// [`Cpu::load_repeat`]).
     pub fn store_repeat(&mut self, addr: u64, n: u64) {
         self.repeat_access(addr, n, true);
     }
@@ -2017,6 +2074,46 @@ mod tests {
         let m = c.end_measure(t);
         assert_eq!(m.pmu.get(Event::StoreIssued), 100);
         assert_eq!(m.pmu.get(Event::L1dStoreHit), 100);
+    }
+
+    /// Repeats charged whole after one probe on this thread so far.
+    fn one_probe_repeats() -> u64 {
+        ONE_PROBE_REPEATS.with(|c| c.get())
+    }
+
+    #[test]
+    fn repeat_on_a_resident_line_takes_one_probe() {
+        // Results are bit-identical either way, so only this counter
+        // notices a repeat that walks its first access and batches the
+        // rest instead of charging all of it after one probe.
+        let mut c = cpu();
+        let r = c.alloc(4096).unwrap();
+        c.load(r.addr, Dep::Stream);
+        c.store(r.addr + 64);
+        let before = one_probe_repeats();
+        c.load_repeat(r.addr + 8, 120);
+        c.store_repeat(r.addr + 64, 30);
+        assert_eq!(one_probe_repeats(), before + 2, "resident lines");
+        assert_eq!(c.run_stats().batched_lines, 119 + 29);
+        let mut arm = Cpu::new(ArchConfig::arm1176jzf_s());
+        let t = arm.alloc_tcm(1024).unwrap();
+        arm.load_repeat(t.addr, 50);
+        arm.store_repeat(t.addr + 64, 50);
+        assert_eq!(one_probe_repeats(), before + 4, "TCM lines");
+
+        // The repeats that keep the first access's walk: an absent line, a
+        // fillable chase shadow, and an edge inside the run.
+        c.load_repeat(r.addr + 128, 10);
+        c.load(r.addr + 192, Dep::Chase);
+        c.load_repeat(r.addr, 10);
+        let mut g = cpu();
+        let r = g.alloc(4096).unwrap();
+        g.load(r.addr, Dep::Stream);
+        g.set_governor(true);
+        g.set_governor_interval(15e-6);
+        g.idle_c0(15e-6 - 1e-9);
+        g.load_repeat(r.addr, 10_000);
+        assert_eq!(one_probe_repeats(), before + 4, "repeats that walk");
     }
 
     /// An access under test, at an address of the test region.

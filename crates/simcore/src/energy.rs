@@ -413,12 +413,150 @@ impl EnergyMeter {
         self.mem_nj += mem_w * dt * 1e9;
     }
 
+    /// `k` rounds of `charge(p)` for each `p` of `round` in order, exactly
+    /// as that loop would leave every domain, through `sums`' closed forms
+    /// (one per domain: core, package extra, memory).
+    #[inline]
+    pub(crate) fn charge_rounds(&mut self, round: [Price; 3], k: u64, sums: &mut [Rounds; 3]) {
+        sums[0].add(&mut self.core_nj, round.map(|p| p.core), k);
+        sums[1].add(&mut self.pkg_extra_nj, round.map(|p| p.pkg_extra), k);
+        sums[2].add(&mut self.mem_nj, round.map(|p| p.mem), k);
+    }
+
     pub(crate) fn reading(&self) -> RaplReading {
         RaplReading {
             core_j: self.core_nj * 1e-9,
             package_j: (self.core_nj + self.pkg_extra_nj) * 1e-9,
             memory_j: self.mem_nj * 1e-9,
         }
+    }
+}
+
+/// 2^53: every integer below it is an exact f64.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
+
+/// The exact closed form of `k` rounds of the same f64 additions into one
+/// accumulator, cached for the binade the accumulator is in.
+///
+/// Take `x` in the binade `[2^e, 2^(e+1))`: it is a multiple of its ulp
+/// `u = 2^(e-52)`, so under round-to-nearest-even `x + a` rounds to
+/// `x + round(a/u)·u` — unless `a/u` lies exactly halfway between two
+/// integers (a tie, whose rounding depends on `x`'s last bit), and as long
+/// as the result stays in the binade. One round of non-negative addends
+/// `a₁..a_N` therefore adds the constant `step = Σ round(aᵢ/u)·u`, and `k`
+/// rounds add `k·step`, an exactly representable multiple of `u`, while
+/// the final sum stays at most `hi = 2^(e+1) - u` (the partial sums only
+/// grow, so the last one bounds them all). The cache holds `step` and `hi`
+/// for one binade, so the common case is one multiply, one add and two
+/// compares. Anything else steps the plain loop until the closed form
+/// applies again: a binade crossing, a tie, and an accumulator that is
+/// zero, subnormal, negative or not finite.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rounds {
+    /// Least value of the cached binade (`INFINITY`: nothing cached).
+    lo: f64,
+    /// Largest admissible result in that binade: `2^(e+1) - u`.
+    hi: f64,
+    /// What one round adds to any value of the binade.
+    step: f64,
+}
+
+impl Default for Rounds {
+    fn default() -> Self {
+        Rounds {
+            lo: f64::INFINITY,
+            hi: 0.0,
+            step: 0.0,
+        }
+    }
+}
+
+impl Rounds {
+    /// Add `k` rounds of `round` to `acc`: bit-identical to
+    /// `for _ in 0..k { for a in round { *acc += a } }`. The addends must
+    /// be the same on every call until the cache is reset.
+    #[inline]
+    pub(crate) fn add<const N: usize>(&mut self, acc: &mut f64, round: [f64; N], k: u64) {
+        let x = *acc;
+        let y = x + k as f64 * self.step;
+        if x >= self.lo && y <= self.hi {
+            *acc = y;
+        } else {
+            self.add_slow(acc, round, k);
+        }
+    }
+
+    /// [`Rounds::add`] outside the cached binade, or across its top.
+    #[cold]
+    #[inline(never)]
+    fn add_slow<const N: usize>(&mut self, acc: &mut f64, round: [f64; N], mut k: u64) {
+        while k > 0 {
+            let x = *acc;
+            if x >= self.lo {
+                let y = x + k as f64 * self.step;
+                if y <= self.hi {
+                    *acc = y;
+                    return;
+                }
+                if x <= self.hi {
+                    // The binade ends inside the run: the whole rounds
+                    // that still fit (the quotient may round up past the
+                    // last one), then one plain round across its top.
+                    let mut fit = ((self.hi - x) / self.step) as u64;
+                    if x + fit as f64 * self.step > self.hi {
+                        fit -= 1;
+                    }
+                    *acc = x + fit as f64 * self.step;
+                    for a in round {
+                        *acc += a;
+                    }
+                    k -= fit + 1;
+                    continue;
+                }
+            }
+            if self.cache(x, &round) {
+                continue;
+            }
+            // No closed form here: one plain round. A round that left the
+            // accumulator as it was leaves it so forever.
+            for a in round {
+                *acc += a;
+            }
+            if acc.to_bits() == x.to_bits() {
+                return;
+            }
+            k -= 1;
+        }
+    }
+
+    /// Cache the closed form for `x`'s binade; `false` (cache unchanged)
+    /// if it has none: `x` not a positive normal number, an addend
+    /// negative, not finite or a tie at `x`'s ulp, or a round of at least
+    /// the whole binade.
+    fn cache(&mut self, x: f64, round: &[f64]) -> bool {
+        if !(x.is_normal() && x > 0.0) {
+            return false;
+        }
+        let exp = x.to_bits() >> 52;
+        let lo = f64::from_bits(exp << 52);
+        let ulp = lo * f64::EPSILON;
+        let mut units = 0.0;
+        for &a in round {
+            let q = a / ulp;
+            if !(0.0..TWO_POW_53).contains(&q) || q.fract() == 0.5 {
+                return false;
+            }
+            units += q.round();
+        }
+        if units >= TWO_POW_53 {
+            return false;
+        }
+        *self = Rounds {
+            lo,
+            hi: f64::from_bits((exp << 52) | ((1 << 52) - 1)),
+            step: units * ulp,
+        };
+        true
     }
 }
 
@@ -510,6 +648,128 @@ mod tests {
         assert!((r.package_j - 1.5).abs() < 1e-12);
         assert!((r.memory_j - 0.2).abs() < 1e-12);
         assert!((r.total_j() - 1.7).abs() < 1e-12);
+    }
+
+    /// `k` plain rounds of `round` into `x`: what [`Rounds::add`] must
+    /// reproduce bit for bit.
+    fn plain_rounds(mut x: f64, round: &[f64], k: u64) -> f64 {
+        for _ in 0..k {
+            for &a in round {
+                x += a;
+            }
+        }
+        x
+    }
+
+    /// The ulp of a positive normal `x`.
+    fn ulp(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() >> 52 << 52) * f64::EPSILON
+    }
+
+    /// Run one case: `chunks` calls into one cache, each followed by a
+    /// bitwise comparison with the plain loop. A chunk of `None` resets
+    /// both accumulators to `restart` while the cache stays, as a window
+    /// accumulator does, so the cached binade goes stale from below.
+    fn rounds_case<const N: usize>(
+        x: f64,
+        round: [f64; N],
+        chunks: &[Option<u64>],
+        restart: f64,
+    ) -> Result<(), String> {
+        let mut sum = Rounds::default();
+        let (mut got, mut want) = (x, x);
+        for (i, chunk) in chunks.iter().enumerate() {
+            let Some(k) = *chunk else {
+                (got, want) = (restart, restart);
+                continue;
+            };
+            sum.add(&mut got, round, k);
+            want = plain_rounds(want, &round, k);
+            if got.to_bits() != want.to_bits() {
+                return Err(format!(
+                    "x {x:e} ({:#x}), round {round:?}, chunks {chunks:?}: \
+                     after chunk {i} got {got:e}, want {want:e}",
+                    x.to_bits()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rounds_closed_form_equals_the_plain_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cases = 0u64;
+        let mut failures = Vec::new();
+        for case in 0..60_000u64 {
+            // The accumulator: zero, subnormal, a binade's bottom, a few
+            // ulps under a binade's top, or anywhere in a binade.
+            let e = (next() % 80) as i32 - 40;
+            let base = 2f64.powi(e);
+            let x = match case % 8 {
+                0 => 0.0,
+                1 => f64::from_bits(1 + next() % ((1 << 52) - 1)),
+                2 => base,
+                3 => 2.0 * base - (1 + next() % 6) as f64 * ulp(base),
+                _ => base * (1.0 + (next() >> 12) as f64 * f64::EPSILON),
+            };
+            let u = match x {
+                0.0 => ulp(base),
+                x if x.is_normal() => ulp(x),
+                _ => f64::from_bits(1) * 2f64.powi((next() % 60) as i32),
+            };
+            // Addends relative to that ulp: ties `(m + ½)·u` and `½·u`,
+            // below half an ulp, exact multiples, arbitrary values from
+            // far below an ulp to a sizeable share of the binade, zero.
+            let mut addend = || match next() % 9 {
+                0 => (next() % 1000) as f64 * u + 0.5 * u,
+                1 => 0.5 * u,
+                2 => u * 0.5 * (next() >> 11) as f64 * f64::EPSILON,
+                3 => (next() % 4096) as f64 * u,
+                4 => 0.0,
+                _ => {
+                    let scale = 2f64.powi((next() % 64) as i32 - 8);
+                    u * scale * (1.0 + (next() >> 12) as f64 * f64::EPSILON)
+                }
+            };
+            let three = [addend(), addend(), addend()];
+            let one = [three[0]];
+            // One to four chunks into one cache, mostly short; some reach
+            // 10^6 rounds, and a restart sends the accumulator back below
+            // the cached binade.
+            let mut chunks = Vec::new();
+            for _ in 0..1 + next() % 4 {
+                chunks.push(match next() % 10_000 {
+                    0 => Some(1_000_000),
+                    1..=20 => Some(next() % 100_000),
+                    21..=520 => None,
+                    521..=3520 => Some(next() % 3),
+                    _ => Some(next() % 300),
+                });
+            }
+            let restart = x * 0.25;
+            for result in [
+                rounds_case(x, one, &chunks, restart),
+                rounds_case(x, three, &chunks, restart),
+            ] {
+                cases += 1;
+                if let Err(e) = result {
+                    failures.push(e);
+                }
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} of {cases} cases differ from the plain loop; first: {}",
+            failures.len(),
+            failures[0]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! residency sampled every interval while EIST is on).
 
 use crate::dvfs::PState;
-use crate::energy::RaplReading;
+use crate::energy::{RaplReading, Rounds};
 
 /// One sample point.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +80,13 @@ impl TimelineSampler {
     #[inline]
     pub(crate) fn credit_active(&mut self, dt: f64) {
         self.window_active_s += dt;
+    }
+
+    /// `k` calls of [`TimelineSampler::credit_active`] with the same `dt`,
+    /// through `sum`'s closed form.
+    #[inline]
+    pub(crate) fn credit_active_run(&mut self, dt: f64, k: u64, sum: &mut Rounds) {
+        sum.add(&mut self.window_active_s, [dt], k);
     }
 
     /// Fraction of samples at the given P-state (Fig. 5's x-axis quantity).

@@ -26,6 +26,16 @@
 //! copy, single access — and `check` then also compares every timeline
 //! sample and the final P-state bit for bit, so a governor tick or sample
 //! taken one access late fails the test.
+//!
+//! A run of identical known hits (hot batch, replay, repeat, TCM run)
+//! advances every accumulator by an exact per-binade closed form rather
+//! than one addition per hit, and a repeat on a resident or TCM line is
+//! charged whole after one probe. The long traces start 100,000-access
+//! repeats, hot runs and replays on a fresh machine, where every
+//! accumulator is zero and crosses many binades inside one call, with and
+//! without fig. 5's governor and sampler; the repeat traces also probe
+//! absent lines, TCM lines on either side of its limit and lines under a
+//! fillable chase shadow.
 
 mod common;
 
@@ -572,6 +582,142 @@ fn edge_inside_repeat_is_identical() {
         "edge inside repeat",
     );
     assert_split(st.batched_lines, st, "edge inside repeat");
+}
+
+/// Long repeats, hot runs and replays on a fresh machine: every
+/// accumulator starts at zero, so the closed forms that charge a run of
+/// known hits cross many binades inside one call. The first repeat walks
+/// its absent line; the others take one probe of a resident line.
+fn long_hot_trace() -> Vec<Op> {
+    let repeat = |line: u64, n: u64, write: bool| Op::Repeat {
+        addr: (1 << 21) + line * LINE + 8,
+        n,
+        write,
+    };
+    let mut ops = vec![
+        repeat(0, 100_000, false),
+        repeat(0, 100_000, false),
+        repeat(0, 60_000, true),
+        repeat(1, 1, true),
+        repeat(1, 2, false),
+    ];
+    for i in 0..40u64 {
+        ops.push(run(0, 480, i % 3 == 2, Dep::Stream));
+    }
+    ops.extend(std::iter::repeat_n(run(0, 64, false, Dep::Stream), 300));
+    ops.push(repeat(3, 99_999, false));
+    ops.push(repeat(0, 100_000, true));
+    ops
+}
+
+#[test]
+fn long_repeats_and_hot_runs_from_zero_are_identical() {
+    let st = check(
+        ArchConfig::intel_i7_4790,
+        |_| {},
+        &long_hot_trace(),
+        "long repeats and hot runs",
+    );
+    assert!(
+        st.batched_lines > 450_000 && st.replayed_lines > 0,
+        "long repeats and hot runs: the hot regimes must carry the trace ({st:?})"
+    );
+}
+
+#[test]
+fn long_repeats_under_fig5_governor_and_sampler_are_identical() {
+    // Fig. 5's 15 µs governor window and 10 µs sampler: a 100,000-load
+    // repeat takes about 14 µs, so edges fall inside the long repeats, and
+    // the window accumulators restart near zero after every edge.
+    let what = "long repeats, fig. 5 governor + sampler";
+    let setup = edges(15e-6, 10e-6, true);
+    let st = check(ArchConfig::intel_i7_4790, &setup, &long_hot_trace(), what);
+    assert_split(st.batched_lines, st, what);
+    let n = sample_count(ArchConfig::intel_i7_4790, &setup, &long_hot_trace());
+    assert!(n >= 5, "{what}: too few ticks crossed ({n})");
+}
+
+#[test]
+fn repeats_on_absent_lines_and_under_a_chase_shadow_are_identical() {
+    // Nine lines 4 KB apart share one 8-way L1D set, so each round of
+    // repeats evicts the line the next round starts with: every first
+    // repeat of a line walks it in (from DRAM in the first round, from L2
+    // after), the second takes one probe. A
+    // DRAM chase load in between leaves a fillable shadow that the next
+    // repeat drains one access at a time.
+    let mut ops = Vec::new();
+    for round in 0..4u64 {
+        for i in 0..9u64 {
+            let addr = (1 << 21) + i * 4096 + round * 8;
+            let write = (i + round) % 3 == 0;
+            ops.push(Op::Repeat {
+                addr,
+                n: 200 + i,
+                write,
+            });
+            ops.push(Op::Repeat {
+                addr,
+                n: 300,
+                write: !write,
+            });
+            ops.push(load(16_384 + round * 640 + i * 67, Dep::Chase));
+            ops.push(Op::Repeat { addr, n: 40, write });
+        }
+    }
+    let what = "repeats on absent lines and under a chase shadow";
+    let plain = check(ArchConfig::intel_i7_4790, |_| {}, &ops, what);
+    let edged = check(
+        ArchConfig::intel_i7_4790,
+        edges(3e-7, 2e-7, true),
+        &ops,
+        &format!("{what}, governor + sampler"),
+    );
+    for st in [plain, edged] {
+        assert!(
+            st.fallbacks > 0 && st.batched_lines > 0,
+            "{what}: repeats must run both under the shadow and batched ({st:?})"
+        );
+    }
+}
+
+#[test]
+fn repeats_on_tcm_and_across_its_limit_are_identical() {
+    // ARM1176 from a fresh machine: long TCM repeats with every
+    // accumulator at zero, then repeats on the last TCM line and the first
+    // line past the 32 KB limit (absent, then resident), and TCM and cache
+    // repeats under a DRAM chase load's shadow; then again with edges
+    // every 70 and 35 cycles.
+    let tcm_end: u64 = 32 * 1024;
+    let repeat = |addr: u64, n: u64, write: bool| Op::Repeat { addr, n, write };
+    let mut ops = vec![
+        repeat(8, 100_000, false),
+        repeat(LINE, 50_000, true),
+        repeat(tcm_end - LINE, 1000, false),
+        repeat(tcm_end - 1, 1000, true),
+        repeat(tcm_end, 1000, false),
+        repeat(tcm_end + 8, 1000, true),
+        repeat(tcm_end + LINE - 1, 1000, false),
+    ];
+    for i in 0..8u64 {
+        ops.push(Op::Load {
+            addr: tcm_end + (64 + i * 37) * LINE,
+            dep: Dep::Chase,
+        });
+        ops.push(repeat(tcm_end - (1 + i % 2) * LINE, 30, i % 3 == 0));
+        ops.push(Op::Load {
+            addr: tcm_end + (512 + i * 37) * LINE,
+            dep: Dep::Chase,
+        });
+        ops.push(repeat(tcm_end + i % 2 * LINE, 30, i % 3 == 1));
+    }
+    check(ArchConfig::arm1176jzf_s, |_| {}, &ops, "TCM repeats");
+    let st = check(
+        ArchConfig::arm1176jzf_s,
+        edges(1e-7, 5e-8, false),
+        &ops,
+        "TCM repeats, governor + sampler",
+    );
+    assert_split(st.batched_lines, st, "TCM repeats, governor + sampler");
 }
 
 #[test]
