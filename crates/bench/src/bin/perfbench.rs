@@ -13,7 +13,7 @@
 //!
 //! Traces:
 //! * `scan_hot`   — repeated passes over an L1-resident window (the shape of
-//!   warm page scans; hot batching + memoized replay, ≥5× target),
+//!   warm page scans; hot batching with O(1) known-hit charges, ≥5× target),
 //! * `scan_cold`  — passes over a window larger than L3 (every line misses;
 //!   the fused cold walk with bulk miss-charging, ≥3× target),
 //! * `chase`      — pointer chasing (fused chase steps, ≥2× target),
@@ -30,13 +30,16 @@
 //! `--e2e` additionally runs the full repro_all experiment suite twice
 //! in-process — once with the fast paths disabled, once enabled — checks the
 //! report streams are byte-identical, and records both wall-clocks. Results
-//! are written as JSON (schema v3) to the path given as a non-flag
+//! are written as JSON (schema v3) to the path given as the one non-flag
 //! argument, by default `BENCH_simcore.json` in full mode and
 //! `target/perfbench-smoke.json` in smoke mode, and the file is re-read
-//! and validated before exit. `--smoke` shrinks the iteration counts for CI and
-//! gates on the `scan_cold` and `columnar_scan` floors; the full mode gates on every
-//! trace's hard floor and additionally reports (without failing) any trace
-//! that met its floor but not its design target — see [`THRESHOLDS`].
+//! and validated before exit. An unknown flag or a second path prints the
+//! usage and exits 2. The JSON's `replayed_lines` always reads 0: simcore
+//! no longer has a replay regime. `--smoke` shrinks the iteration counts
+//! for CI and gates on the `scan_cold` and `columnar_scan` floors; the
+//! full mode gates on every trace's hard floor and additionally reports
+//! (without failing) any trace that met its floor but not its design
+//! target — see [`THRESHOLDS`].
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -191,7 +194,8 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
     let mut results = Vec::new();
 
     // scan_hot: `passes` full passes over a 256-line (16 KB) window that
-    // stays L1D-resident after the first pass.
+    // stays L1D-resident after the first pass, so every later pass is one
+    // hot batch: a set scan per line and an O(1) charge.
     let hot_lines: u64 = 256;
     let passes: u64 = 2_000 * scale;
     results.push(run_trace(
@@ -505,13 +509,21 @@ struct Args {
     path: String,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
+const USAGE: &str = "usage: perfbench [--smoke] [--e2e] [PATH]";
+
+/// Parse the command line; an unknown flag or a second path is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let (mut smoke, mut e2e, mut path) = (false, false, None);
     for arg in args {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--e2e" => e2e = true,
-            _ => path = Some(arg),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => {
+                if let Some(first) = path.replace(arg) {
+                    return Err(format!("a second path after {first}"));
+                }
+            }
         }
     }
     let default = if smoke {
@@ -519,15 +531,21 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
     } else {
         "BENCH_simcore.json"
     };
-    Args {
+    Ok(Args {
         smoke,
         e2e,
         path: path.unwrap_or_else(|| default.to_string()),
-    }
+    })
 }
 
 fn main() -> ExitCode {
-    let Args { smoke, e2e, path } = parse_args(std::env::args().skip(1));
+    let Args { smoke, e2e, path } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("perfbench: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     // Smoke keeps every trace and the validation but trims the run to a
     // couple of seconds; the committed BENCH_simcore.json comes from full.
     let (mode, scale) = if smoke { ("smoke", 1) } else { ("full", 20) };
@@ -617,8 +635,12 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
+    fn try_args(list: &[&str]) -> Result<Args, String> {
         parse_args(list.iter().map(|a| a.to_string()))
+    }
+
+    fn args(list: &[&str]) -> Args {
+        try_args(list).unwrap_or_else(|e| panic!("{list:?}: {e}"))
     }
 
     #[test]
@@ -634,6 +656,19 @@ mod tests {
             assert_eq!(args(list).path, "out.json", "{list:?}");
         }
         assert_eq!(args(&["out.json"]).path, "out.json");
+    }
+
+    #[test]
+    fn unknown_flags_and_a_second_path_are_rejected() {
+        for list in [
+            &["--smok"][..],
+            &["--smoke", "-x"],
+            &["--e2e=1"],
+            &["--smoke", "a.json", "b.json"],
+            &["a.json", "--e2e", "b.json"],
+        ] {
+            assert!(try_args(list).is_err(), "{list:?} must be rejected");
+        }
     }
 
     /// The committed `BENCH_simcore.json` must agree with the code that

@@ -44,7 +44,6 @@ use crate::timeline::TimelineSampler;
 /// are diagnostics summed across threads, with no ordering dependencies.
 static RUN_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_COLD_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
-static RUN_REPLAYED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 #[cfg(test)]
@@ -74,7 +73,7 @@ fn fastpath_enabled() -> bool {
 }
 
 /// Fast-path effectiveness totals (see [`take_run_stats`] /
-/// [`Cpu::run_stats`]). All four count *lines* (accesses) of the run verbs
+/// [`Cpu::run_stats`]). They count *lines* (accesses) of the run verbs
 /// ([`Cpu::access_run`], [`Cpu::copy_run`] and the repeat verbs after their
 /// first access). The single-access verbs take the same fused steps but are
 /// not counted: the counters measure how well runs batch, and counting
@@ -87,7 +86,12 @@ pub struct RunStats {
     pub batched_lines: u64,
     /// Misses charged through the fused cold-run/chase path.
     pub cold_batched_lines: u64,
-    /// Lines serviced from the memoized-replay cache.
+    /// Always 0. It counted the lines of a memoized-replay regime that no
+    /// longer exists: every run of L1D hits now takes the hot batch and
+    /// counts in `batched_lines`. The field stays because readers outside
+    /// simcore still publish it: the `simcore.run_replayed_lines` metric,
+    /// `profile.json`'s `replayed` key, difftest's sums, perfbench's JSON
+    /// and hostbench's `simcore.lines_replayed`.
     pub replayed_lines: u64,
     /// Run-verb lines stepped one at a time: at a governor-window edge or
     /// sampler tick, under a fillable chase shadow, or a chase run's TCM
@@ -96,9 +100,9 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Lines served by a fast path: batched, cold-batched or replayed.
+    /// Lines served by a fast path: batched or cold-batched.
     pub fn served(&self) -> u64 {
-        self.batched_lines + self.cold_batched_lines + self.replayed_lines
+        self.batched_lines + self.cold_batched_lines
     }
 }
 
@@ -136,7 +140,7 @@ pub fn take_run_stats() -> RunStats {
     RunStats {
         batched_lines: RUN_BATCHED_LINES.swap(0, Ordering::Relaxed),
         cold_batched_lines: RUN_COLD_BATCHED_LINES.swap(0, Ordering::Relaxed),
-        replayed_lines: RUN_REPLAYED_LINES.swap(0, Ordering::Relaxed),
+        replayed_lines: 0,
         fallbacks: RUN_FALLBACKS.swap(0, Ordering::Relaxed),
     }
 }
@@ -247,7 +251,7 @@ struct KnownSums {
 }
 
 /// The per-access charge constants of every fast path — hot batches,
-/// replay, repeats and the fused cold-run/chase steps — at one
+/// repeats and the fused cold-run/chase steps — at one
 /// `(pstate, ifetch_discount)` operating point. Every field holds the
 /// *exact* f64 the reference step computes for the same access — prices via
 /// the same model calls, stall cycles via the same `lat / mlp` divisions,
@@ -323,37 +327,6 @@ impl Prices {
             self.issue
         }
     }
-}
-
-/// Replay-cache slots (direct-mapped).
-const REPLAY_SLOTS: usize = 64;
-/// Shortest run worth memoizing: below this the record/probe overhead beats
-/// the charge loop it saves.
-const REPLAY_MIN_LINES: u64 = 4;
-/// Longest run memoized (bounds the recorded way vectors).
-const REPLAY_MAX_LINES: u64 = 1024;
-
-/// One memoized sub-trace: a whole-run L1D hit sequence recorded together
-/// with the L1D fingerprint it left behind. The entry replays only while
-/// the fingerprint still matches — see [`Cpu::try_replay`] for the
-/// soundness argument.
-#[derive(Debug)]
-struct ReplayEntry {
-    line: u64,
-    lines: u64,
-    write: bool,
-    /// `Hierarchy::l1_fingerprint()` immediately after the recorded run.
-    stamp_after: u64,
-    epoch: u64,
-    /// Way index (global) per line, in access order.
-    ways: Vec<u8>,
-}
-
-/// Direct-mapped slot for a run's `(first line, length, direction)` shape.
-#[inline]
-fn replay_slot(line: u64, lines: u64, write: bool) -> usize {
-    let key = (line / crate::LINE) ^ (lines << 1) ^ (write as u64);
-    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 58) as usize
 }
 
 /// Dependency class of a load (see crate docs for the timing model).
@@ -468,16 +441,10 @@ pub struct Cpu {
     /// Per-access constants of every fast path, keyed on
     /// `(pstate, ifetch_discount)`; rebuilt lazily when either changes.
     prices: Prices,
-    /// Memoized sub-trace replay cache (allocated on first record).
-    replay: Vec<Option<ReplayEntry>>,
-    /// Recycled way buffer for replay recording.
-    replay_scratch: Vec<u8>,
     /// Lines charged through the batched fast path by this machine.
     run_batched_lines: u64,
     /// Misses charged through the fused cold-run/chase fast path.
     run_cold_batched_lines: u64,
-    /// Lines serviced from the memoized-replay cache.
-    run_replayed_lines: u64,
     /// Run-verb lines stepped one at a time (see [`RunStats::fallbacks`]).
     run_fallbacks: u64,
 }
@@ -486,7 +453,6 @@ impl Drop for Cpu {
     fn drop(&mut self) {
         RUN_BATCHED_LINES.fetch_add(self.run_batched_lines, Ordering::Relaxed);
         RUN_COLD_BATCHED_LINES.fetch_add(self.run_cold_batched_lines, Ordering::Relaxed);
-        RUN_REPLAYED_LINES.fetch_add(self.run_replayed_lines, Ordering::Relaxed);
         RUN_FALLBACKS.fetch_add(self.run_fallbacks, Ordering::Relaxed);
     }
 }
@@ -522,11 +488,8 @@ impl Cpu {
             last_class: u8::MAX,
             ifetch_discount: 0.0,
             prices: Prices::default(),
-            replay: Vec::new(),
-            replay_scratch: Vec::new(),
             run_batched_lines: 0,
             run_cold_batched_lines: 0,
-            run_replayed_lines: 0,
             run_fallbacks: 0,
         }
     }
@@ -942,7 +905,8 @@ impl Cpu {
         }
     }
 
-    /// Charge `k` known L1D (or TCM) hits.
+    /// Charge `k` known L1D (or TCM) hits: a hot batch, a repeat or a TCM
+    /// run.
     ///
     /// The scalar path's f64 additions per hit are fetch, an optional
     /// decode switch, the hit price, busy cycles, wall time, background
@@ -1135,53 +1099,14 @@ impl Cpu {
         }
     }
 
-    /// Attempt a memoized replay of the whole run `(line, lines, write)`.
-    ///
-    /// Soundness: an entry stores the L1D `(stamp, epoch)` fingerprint taken
-    /// immediately after its run was recorded. Every L1D mutation consumes
-    /// at least one stamp (and flush/invalidate bumps the epoch), so a
-    /// matching fingerprint proves the L1D is in *literally the same state*
-    /// as after the recorded run — in particular, every line of the run is
-    /// still resident in its recorded way, and replaying the recorded
-    /// restamp sequence plus the known-hit charges is the exact outcome the
-    /// scalar loop would produce. The operating point is *not* part of the
-    /// key: charges come from the current price table.
-    fn try_replay(&mut self, line: u64, lines: u64, write: bool) -> bool {
-        if self.replay.is_empty() {
-            return false;
-        }
-        let slot = replay_slot(line, lines, write);
-        let fp = self.hier.l1_fingerprint();
-        let hit = self.replay[slot].as_ref().is_some_and(|e| {
-            e.line == line && e.lines == lines && e.write == write && (e.stamp_after, e.epoch) == fp
-        });
-        if !hit {
-            return false;
-        }
-        let e = self.replay[slot].take().expect("checked above");
-        self.hier
-            .l1_replay_run(e.line, e.write, &e.ways, &mut self.pmu);
-        self.charge_known_run(write, false, lines);
-        self.run_replayed_lines += lines;
-        // The replay advanced the stamp by `lines`; the entry stays valid
-        // for an immediately following identical run.
-        self.replay[slot] = Some(ReplayEntry {
-            stamp_after: e.stamp_after + lines,
-            ..e
-        });
-        true
-    }
-
     /// Simulate a run of `lines` sequential line accesses starting at the
     /// line containing `addr` — the batched fast path.
     ///
-    /// Three fast regimes cover the run: whole-run TCM stretches and L1D
-    /// hit runs are charged with precomputed per-access constants (hot
-    /// batch); cold stretches — including chase runs — go through the fused
+    /// Two fast regimes cover the run: TCM stretches and L1D hit runs are
+    /// known hits, charged in O(1) from the price table (hot batch); cold
+    /// stretches — including chase runs — go through the fused
     /// single-pass hierarchy walk with hoisted charges (bulk
-    /// miss-charging); and runs whose L1D fingerprint proves them identical
-    /// to a previously recorded run replay the memoized restamp/charge
-    /// sequence outright. With the governor on or a timeline sampler
+    /// miss-charging). With the governor on or a timeline sampler
     /// attached, every regime runs only as far as its accesses provably end
     /// before the next governor-window edge or sampler tick (DESIGN.md §9,
     /// "Time budget"). The access that may reach the edge is stepped alone
@@ -1227,15 +1152,7 @@ impl Cpu {
             return;
         }
         // Stream machinery (stores ignore `dep`, so write+chase runs land
-        // here too). A run that starts with no fillable shadow, stays above
-        // the TCM limit and has a memoizable length is a replay candidate;
-        // it replays only if the whole run fits in the time budget.
-        let mut record = self.fillable == 0.0
-            && line >= tcm_limit
-            && (REPLAY_MIN_LINES..=REPLAY_MAX_LINES).contains(&lines);
-        if record && self.hits_before_edge(write) >= lines && self.try_replay(line, lines, write) {
-            return;
-        }
+        // here too).
         while left > 0 {
             self.ensure_prices();
             let cap = if self.fillable > 0.0 {
@@ -1261,40 +1178,8 @@ impl Cpu {
                 left -= k;
                 continue;
             }
-            // L1D hit prefix, batch-charged. On the first probe of a
-            // replay-candidate run, record the restamp sequence; if it
-            // covers the whole run, memoize it under the resulting
-            // fingerprint.
-            let k = if record {
-                record = false;
-                let mut ways = std::mem::take(&mut self.replay_scratch);
-                ways.clear();
-                let k = self
-                    .hier
-                    .l1_hit_run_record(line, cap, write, &mut self.pmu, &mut ways);
-                if k == lines {
-                    if self.replay.is_empty() {
-                        self.replay.resize_with(REPLAY_SLOTS, || None);
-                    }
-                    let (stamp_after, epoch) = self.hier.l1_fingerprint();
-                    let slot = replay_slot(line, lines, write);
-                    if let Some(old) = self.replay[slot].replace(ReplayEntry {
-                        line,
-                        lines,
-                        write,
-                        stamp_after,
-                        epoch,
-                        ways,
-                    }) {
-                        self.replay_scratch = old.ways;
-                    }
-                } else {
-                    self.replay_scratch = ways;
-                }
-                k
-            } else {
-                self.hier.l1_hit_run(line, cap, write, &mut self.pmu)
-            };
+            // L1D hit prefix, batch-charged.
+            let k = self.hier.l1_hit_run(line, cap, write, &mut self.pmu);
             if k > 0 {
                 self.charge_known_run(write, false, k);
                 self.run_batched_lines += k;
@@ -1356,7 +1241,7 @@ impl Cpu {
         RunStats {
             batched_lines: self.run_batched_lines,
             cold_batched_lines: self.run_cold_batched_lines,
-            replayed_lines: self.run_replayed_lines,
+            replayed_lines: 0,
             fallbacks: self.run_fallbacks,
         }
     }
@@ -1559,7 +1444,7 @@ impl Cpu {
     /// Simulate `n` repeated loads of the line containing `addr`.
     ///
     /// One probe finds the line resident in L1D (or in the TCM window), so
-    /// all `n` loads are *known hits*, restamped in O(1) and charged in
+    /// all `n` loads are *known hits*, promoted in O(1) and charged in
     /// O(1) through the batched fast path: interpreter-style engines
     /// re-read the same hot structures hundreds of times per tuple, and
     /// simulating each probe individually would add nothing but
@@ -1944,7 +1829,7 @@ mod tests {
         assert_eq!(mb.pmu.get(Event::L1dLoadHit), 4 * 256);
         assert_eq!(mb.pmu.get(Event::L1dStoreHit), 4 * 256);
         let st = b.run_stats();
-        assert_eq!(st.batched_lines + st.replayed_lines, 8 * 256);
+        assert_eq!(st.batched_lines, 8 * 256);
         assert_eq!(st.fallbacks, 0);
     }
 
@@ -2033,7 +1918,7 @@ mod tests {
         }
         let st = b.run_stats();
         let lines = PASSES * 512;
-        assert_eq!(st.batched_lines + st.replayed_lines + st.fallbacks, lines);
+        assert_eq!(st.batched_lines + st.fallbacks, lines);
         assert!(
             st.fallbacks * 100 < lines,
             "only edge-crossing accesses may be stepped one at a time ({st:?})"

@@ -193,12 +193,6 @@ impl Hierarchy {
         }
     }
 
-    /// `(stamp, epoch)` of L1D — the replay-cache fingerprint (see
-    /// [`Cache::replay_run`] for the soundness contract).
-    pub fn l1_fingerprint(&self) -> (u64, u64) {
-        (self.l1d.stamp(), self.l1d.epoch())
-    }
-
     /// Host-side bytes backing the whole stack's simulated cache metadata
     /// (compacted tag arrays + rank words + way-hint shadow tables, summed
     /// over every level — see [`Cache::footprint_bytes`]). Pure geometry,
@@ -245,34 +239,6 @@ impl Hierarchy {
         k
     }
 
-    /// [`Hierarchy::l1_hit_run`] that also records the within-set way of
-    /// every counted hit into `ways`, so a whole-run hit can be memoized
-    /// for later replay.
-    pub fn l1_hit_run_record(
-        &mut self,
-        first_line: u64,
-        max_lines: u64,
-        write: bool,
-        pmu: &mut Pmu,
-        ways: &mut Vec<u8>,
-    ) -> u64 {
-        let k = self
-            .l1d
-            .access_run_record(first_line, max_lines, write, ways);
-        count_l1_hits(pmu, write, k);
-        k
-    }
-
-    /// Replay a memoized all-hit run recorded by
-    /// [`Hierarchy::l1_hit_run_record`]. The caller must have verified the
-    /// L1 fingerprint ([`Hierarchy::l1_fingerprint`]) still matches the
-    /// value captured right after the recording — then the outcome is
-    /// determined and this is PMU- and state-identical to the scalar run.
-    pub fn l1_replay_run(&mut self, first_line: u64, write: bool, ways: &[u8], pmu: &mut Pmu) {
-        self.l1d.replay_run(first_line, write, ways);
-        count_l1_hits(pmu, write, ways.len() as u64);
-    }
-
     /// Fast path: `n` repeated demand accesses to one resident (non-TCM)
     /// line, in O(1). Returns `false` (no state or PMU change) when the line
     /// is not L1D-resident and the caller must step the accesses one at a
@@ -308,7 +274,7 @@ impl Hierarchy {
 
     /// Fused demand load, the production load walk: it leaves the PMU and
     /// every piece of state as the oracle [`Hierarchy::load`] does — same
-    /// PMU order, same stamp arithmetic, same fills, same DRAM row
+    /// PMU order, same LRU promotions, same fills, same DRAM row
     /// transitions — but each cache set is scanned once (the scalar
     /// access-then-fill pair scans twice) and `ctx`'s knowledge windows
     /// elide prefetch-target probes that would provably hit.
@@ -333,7 +299,6 @@ impl Hierarchy {
             }
             Err(v) => v,
         };
-        self.l1d.miss_stamp();
         pmu.bump(Event::L1dLoadMiss);
         let ln = line / crate::LINE;
 
@@ -356,7 +321,6 @@ impl Hierarchy {
             }
             Err(v) => v,
         };
-        l2.miss_stamp();
         pmu.bump(Event::L2Miss);
         let l2_victim = self.l2_victim_gap_ok.then_some(l2_victim);
         self.prefetch_fused(line, ln, ctx, &mut res, pmu);
@@ -389,7 +353,6 @@ impl Hierarchy {
             }
             Err(v) => v,
         };
-        self.l1d.miss_stamp();
         pmu.bump(Event::L1dStoreMiss);
         let ln = line / crate::LINE;
         let mut fill = self.load_for_allocate_fused(line, l1_victim, ln, ctx, &mut res, pmu);
@@ -430,7 +393,6 @@ impl Hierarchy {
             }
             Err(v) => v,
         };
-        l2.miss_stamp();
         pmu.bump(Event::L2Miss);
         let level = self.demand_below_l2(line, ln, ctx, res, pmu);
         self.fill_l2_fused(line, false, Some(l2_victim), ln, ctx, res, pmu);
@@ -458,7 +420,6 @@ impl Hierarchy {
                     return HitLevel::L3;
                 }
                 Err(v3) => {
-                    l3.miss_stamp();
                     // The scalar path drops this Fill (demand L3 fills never
                     // report writebacks) — but the eviction is real, so the
                     // knowledge window must still see it.
@@ -961,10 +922,9 @@ mod tests {
                         pb.snapshot(),
                         "PMU diverged at {addr:#x} round {round}"
                     );
-                    assert_eq!(ha.l1_fingerprint(), hb.l1_fingerprint());
                 }
             }
-            // Deep state comparison: stamps and full residency/dirtiness.
+            // Deep state comparison: residency, LRU order and dirtiness.
             assert_eq!(ha.open_row, hb.open_row);
             let stacks = [(&mut ha, &mut pa), (&mut hb, &mut pb)];
             let mut finals = Vec::new();

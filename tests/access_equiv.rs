@@ -22,16 +22,16 @@
 //! regimes run only up to the next governor-window edge or sampler tick,
 //! and the access that may reach it takes the one-access step with its
 //! time passed through `advance`. The edge traces put an edge inside every
-//! fast regime — hot batch, replay, repeat, fused cold segment, chase step,
-//! copy, single access — and `check` then also compares every timeline
+//! fast regime — hot batch, repeat, fused cold segment, chase step, copy,
+//! single access — and `check` then also compares every timeline
 //! sample and the final P-state bit for bit, so a governor tick or sample
 //! taken one access late fails the test.
 //!
-//! A run of identical known hits (hot batch, replay, repeat, TCM run)
-//! advances every accumulator by an exact per-binade closed form rather
-//! than one addition per hit, and a repeat on a resident or TCM line is
-//! charged whole after one probe. The long traces start 100,000-access
-//! repeats, hot runs and replays on a fresh machine, where every
+//! A run of identical known hits (hot batch, repeat, TCM run) advances
+//! every accumulator by an exact per-binade closed form rather than one
+//! addition per hit, and a repeat on a resident or TCM line is charged
+//! whole after one probe. The long traces start 100,000-access repeats,
+//! hot runs and identical rescans on a fresh machine, where every
 //! accumulator is zero and crosses many binades inside one call, with and
 //! without fig. 5's governor and sampler; the repeat traces also probe
 //! absent lines, TCM lines on either side of its limit and lines under a
@@ -541,23 +541,20 @@ fn edge_inside_hot_batch_is_identical() {
 }
 
 #[test]
-fn edge_inside_replay_is_identical() {
-    // Identical 64-line rescans replay from the memo (32 cycles each);
-    // roughly one in twenty straddles an edge and must split instead.
+fn edge_inside_identical_hot_rescans_is_identical() {
+    // Identical 64-line rescans each take one hot batch (32 cycles
+    // reading); roughly one in twenty straddles an edge and must split.
     let mut ops = vec![run(0, 64, false, Dep::Stream)];
     ops.extend(std::iter::repeat_n(run(0, 64, false, Dep::Stream), 200));
     ops.extend(std::iter::repeat_n(run(0, 64, true, Dep::Stream), 100));
+    let what = "edge inside identical hot rescans";
     let st = check(
         ArchConfig::intel_i7_4790,
         edges(3e-7, 2e-7, true),
         &ops,
-        "edge inside replay",
+        what,
     );
-    assert_split(st.replayed_lines, st, "edge inside replay");
-    assert!(
-        st.batched_lines > 0,
-        "edge inside replay: straddling runs must split ({st:?})"
-    );
+    assert_split(st.batched_lines, st, what);
 }
 
 #[test]
@@ -584,7 +581,7 @@ fn edge_inside_repeat_is_identical() {
     assert_split(st.batched_lines, st, "edge inside repeat");
 }
 
-/// Long repeats, hot runs and replays on a fresh machine: every
+/// Long repeats, hot runs and identical rescans on a fresh machine: every
 /// accumulator starts at zero, so the closed forms that charge a run of
 /// known hits cross many binades inside one call. The first repeat walks
 /// its absent line; the others take one probe of a resident line.
@@ -619,7 +616,7 @@ fn long_repeats_and_hot_runs_from_zero_are_identical() {
         "long repeats and hot runs",
     );
     assert!(
-        st.batched_lines > 450_000 && st.replayed_lines > 0,
+        st.batched_lines > 450_000,
         "long repeats and hot runs: the hot regimes must carry the trace ({st:?})"
     );
 }
@@ -1145,17 +1142,14 @@ fn batched_replay_actually_batches() {
     replay_batched(&mut cpu, &[warm; 4]);
     let st = cpu.run_stats();
     assert!(
-        st.batched_lines + st.replayed_lines >= 3 * 256,
-        "warm rescans must take the batched/replay path ({st:?})"
+        st.batched_lines >= 3 * 256,
+        "warm rescans must take the hot batch ({st:?})"
     );
     assert!(
         st.cold_batched_lines >= 256,
         "the cold first pass must go through the fused cold path ({st:?})"
     );
-    assert!(
-        st.replayed_lines >= 256,
-        "identical warm rescans must hit the replay cache ({st:?})"
-    );
+    assert_eq!(st.replayed_lines, 0, "nothing counts as replayed ({st:?})");
     assert_eq!(
         st.fallbacks, 0,
         "nothing here needs a fallback step ({st:?})"
@@ -1256,11 +1250,11 @@ fn prefetcher_trained_run_interrupted_by_chase_is_identical() {
 
 #[test]
 fn replay_invalidated_by_intervening_write_is_detected() {
-    // A memoized run must stop replaying the moment any L1D mutation
-    // intervenes: conflicting stores evict lines of the recorded run, so a
-    // stale replay would charge hits for what are now misses. The
-    // fingerprint (stamp, epoch) must catch it — checked differentially
-    // and via the replay counter.
+    // Identical rescans with conflicting stores in between: the stores
+    // evict one line of the run, so the next rescan's hot batch must stop
+    // at that line and hand the rest of the run to the cold walk, which
+    // charges it as the miss it now is — checked differentially and via
+    // the hot and cold counters.
     let base: u64 = 1 << 21;
     let run = Op::Run {
         addr: base,
@@ -1268,7 +1262,7 @@ fn replay_invalidated_by_intervening_write_is_detected() {
         write: false,
         dep: Dep::Stream,
     };
-    let mut ops = vec![run, run, run, run]; // cold, record, replay ×2
+    let mut ops = vec![run, run, run, run]; // cold, then three hot rescans
     for k in 1..=9u64 {
         // Nine ways' worth of stride-4096 conflicts into set 5 evict the
         // run's line at base + 5*LINE.
@@ -1276,9 +1270,9 @@ fn replay_invalidated_by_intervening_write_is_detected() {
             addr: base + 5 * LINE + k * 4096,
         });
     }
-    ops.push(run); // stale fingerprint: must re-walk, not replay
-    ops.push(run); // all-hit again: re-records
-    ops.push(run); // fresh recording: replays once more
+    ops.push(run); // 5 hits, the evicted line, 58 hits in the cold walk
+    ops.push(run); // all hits again
+    ops.push(run);
     check(
         ArchConfig::intel_i7_4790,
         |c| c.set_prefetch(true),
@@ -1286,17 +1280,24 @@ fn replay_invalidated_by_intervening_write_is_detected() {
         "replay invalidated by intervening write",
     );
 
-    // Counter check: exactly the two pre-invalidation rescans and the one
-    // post-re-record rescan may replay.
+    // Counter check. The cold first pass is 64 cold lines. The rescan
+    // after the stores batches lines 0-4, misses line 5 and takes the
+    // other 58 as hits inside the cold walk, which count as batched. Every
+    // other rescan is 64 batched lines. The stores are single verbs, which
+    // count nowhere.
     let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
     cpu.set_prefetch(true);
     cpu.alloc(1 << 21).unwrap();
     replay_batched(&mut cpu, &ops);
     let st = cpu.run_stats();
+    let expect = RunStats {
+        batched_lines: 5 * 64 + 5 + 58,
+        cold_batched_lines: 64 + 1,
+        ..RunStats::default()
+    };
     assert_eq!(
-        st.replayed_lines,
-        3 * 64,
-        "replay must fire on identical rescans and stop on invalidation ({st:?})"
+        st, expect,
+        "the hot batch must stop at the evicted line ({st:?})"
     );
 }
 
@@ -1387,8 +1388,6 @@ fn soa_cache_and_stamp_oracle_agree_on_victim_sequences() {
                     );
                 }
             }
-            assert_eq!(c.stamp(), o.stamp(), "fingerprint stamp at step {step}");
-            assert_eq!(c.epoch(), o.epoch(), "fingerprint epoch at step {step}");
         }
         assert_eq!(c.resident(), o.resident(), "final residency");
         assert!(fills > 4000, "trace must keep the sets boiling ({fills})");

@@ -8,7 +8,7 @@
 //!   comparison, the repo's cross-engine convention) as every row
 //!   personality.
 //! * **PMU conservation** — the batch executor's fast paths (line-batched
-//!   lane touches, memoized replay) must leave the counter hierarchy
+//!   lane touches, hot batches of known hits) must leave the counter hierarchy
 //!   telescoping exactly like scalar execution does: hits + misses at each
 //!   level reconcile with the accesses that reached it.
 //!

@@ -164,11 +164,12 @@ fn tracing_changes_nothing_and_traces_are_jobs_independent() {
 }
 
 /// The batched-access fast path publishes `simcore.run_batched_lines` /
-/// `simcore.run_cold_batched_lines` / `simcore.run_replayed_lines` /
-/// `simcore.run_fallbacks` once per suite. Batching, cold-charging and
-/// replay decisions depend only on the access sequence — never on
-/// scheduling — so all four totals must be `--jobs`-independent, and a
-/// scan-heavy subset must actually engage the hot and cold fast paths.
+/// `simcore.run_cold_batched_lines` / `simcore.run_replayed_lines` (always
+/// 0: no replay regime exists) / `simcore.run_fallbacks` once per suite.
+/// Batching, cold-charging and fallback decisions depend only on the
+/// access sequence — never on scheduling — so all four totals must be
+/// `--jobs`-independent, and a scan-heavy subset must actually engage the
+/// hot and cold fast paths.
 #[test]
 fn fast_path_counters_are_jobs_independent() {
     let _guard = seq();
