@@ -2,6 +2,9 @@
 //! checked against simple reference oracles, and error paths are exercised
 //! deliberately.
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 use proptest::prelude::*;
 use simcore::{ArchConfig, Cpu, Dep};
 use storage::{BufferPool, PageStore};
@@ -111,6 +114,119 @@ proptest! {
         });
         prop_assert!(m.pmu.ipc() <= 4.01, "IPC {} exceeds issue width", m.pmu.ipc());
         prop_assert!(m.cycles > 0.0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// LSM store against a BTreeMap model
+// ---------------------------------------------------------------------
+
+/// One scan must equal the model's `range(from..).take(limit)`.
+fn check_scan(
+    cpu: &mut Cpu,
+    store: &mut nosql::LsmStore,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    from: &[u8],
+    limit: usize,
+) {
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+        .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+        .take(limit)
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
+    let from_text = String::from_utf8_lossy(from);
+    assert_eq!(
+        store.scan(cpu, from, limit),
+        want,
+        "scan from {from_text:?} limit {limit}"
+    );
+}
+
+/// Seeded put/delete/flush/compact/scan sequences on 2-4 KB memtables with
+/// fanout 2-4, so scans merge the memtable with several overlapping runs:
+/// the newest version of a key must win and a deleted key must never show.
+/// Each seed ends with the edge cases a random walk may miss: `limit` 0,
+/// `from` before the first and past the last key, a range holding only
+/// tombstones (in a run and in the memtable), and one key live in the
+/// memtable and in every run.
+#[test]
+fn lsm_scans_match_btreemap_model() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const KEYS: u64 = 96;
+    let key = |i: u64| format!("k{i:03}").into_bytes();
+    for seed in 0..40u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let cfg = nosql::LsmConfig {
+            memtable_bytes: rng.gen_range(2..=4u64) * 1024,
+            fanout: rng.gen_range(2..=4usize),
+            wal_group: 8,
+        };
+        let mut store = nosql::LsmStore::open(&mut cpu, cfg).unwrap();
+        let mut model = BTreeMap::new();
+        // An empty store, and the empty run compacting it leaves.
+        store.compact(&mut cpu).unwrap();
+        check_scan(&mut cpu, &mut store, &model, b"", 10);
+
+        for _ in 0..600 {
+            let k = key(rng.gen_range(0..KEYS));
+            match rng.gen_range(0..20u32) {
+                0..=9 => {
+                    let v = vec![rng.gen_range(1..=255u8); rng.gen_range(1..=120usize)];
+                    store.put(&mut cpu, &k, &v).unwrap();
+                    model.insert(k, v);
+                }
+                10..=13 => {
+                    store.delete(&mut cpu, &k).unwrap();
+                    model.remove(&k);
+                }
+                14 => store.flush(&mut cpu).unwrap(),
+                15 => store.compact(&mut cpu).unwrap(),
+                _ => {
+                    let limit = rng.gen_range(0..=24usize);
+                    check_scan(&mut cpu, &mut store, &model, &k, limit);
+                }
+            }
+        }
+
+        check_scan(&mut cpu, &mut store, &model, b"", 0);
+        check_scan(&mut cpu, &mut store, &model, b"", KEYS as usize);
+        check_scan(&mut cpu, &mut store, &model, b"a", 5);
+        check_scan(&mut cpu, &mut store, &model, b"z", 5);
+
+        // Delete the top 16 keys: 8 tombstones land in a run (one run
+        // after the compaction, so the flush cannot compact them away),
+        // 8 stay in the memtable; older live versions sit below both.
+        store.flush(&mut cpu).unwrap();
+        store.compact(&mut cpu).unwrap();
+        for i in KEYS - 16..KEYS {
+            if i == KEYS - 8 {
+                store.flush(&mut cpu).unwrap();
+            }
+            store.delete(&mut cpu, &key(i)).unwrap();
+            model.remove(&key(i));
+        }
+        check_scan(&mut cpu, &mut store, &model, &key(KEYS - 16), 8);
+        check_scan(&mut cpu, &mut store, &model, &key(KEYS - 20), 8);
+
+        // One version of one key per run (`fanout` runs, the most that
+        // flushing leaves uncompacted), and the newest in the memtable.
+        let k = key(KEYS / 2);
+        for round in 0..cfg.fanout as u8 {
+            let v = vec![b'a' + round; 8];
+            store.put(&mut cpu, &k, &v).unwrap();
+            model.insert(k.clone(), v);
+            store.flush(&mut cpu).unwrap();
+            if round == 0 {
+                store.compact(&mut cpu).unwrap();
+            }
+        }
+        store.put(&mut cpu, &k, b"newest").unwrap();
+        model.insert(k.clone(), b"newest".to_vec());
+        check_scan(&mut cpu, &mut store, &model, &k, 1);
+        check_scan(&mut cpu, &mut store, &model, &key(KEYS / 2 - 1), 3);
     }
 }
 
