@@ -39,6 +39,8 @@ pub enum KvError {
     Mem(simcore::MemError),
     /// Keys/values over the size limits.
     TooLarge(&'static str),
+    /// An empty value: empty values are reserved as deletion tombstones.
+    EmptyValue,
 }
 
 impl std::fmt::Display for KvError {
@@ -46,6 +48,7 @@ impl std::fmt::Display for KvError {
         match self {
             KvError::Mem(e) => write!(f, "memory: {e}"),
             KvError::TooLarge(what) => write!(f, "{what} exceeds the size limit"),
+            KvError::EmptyValue => write!(f, "empty values are reserved for deletions"),
         }
     }
 }

@@ -10,6 +10,9 @@ use std::collections::BTreeMap;
 /// The tombstone sentinel (empty values are reserved for deletions).
 const TOMBSTONE: &[u8] = b"";
 
+/// The longest key `put` and `delete` accept, in bytes.
+const MAX_KEY: usize = 1024;
+
 #[inline]
 fn live(v: Vec<u8>) -> Option<Vec<u8>> {
     if v == TOMBSTONE {
@@ -66,10 +69,14 @@ impl LsmStore {
         })
     }
 
-    /// Write a key/value pair.
+    /// Write a key/value pair. An empty value is rejected: it would read
+    /// as a deletion.
     pub fn put(&mut self, cpu: &mut Cpu, key: &[u8], value: &[u8]) -> crate::Result<()> {
-        if key.len() > 1024 || value.len() > 16 * 1024 {
+        if key.len() > MAX_KEY || value.len() > 16 * 1024 {
             return Err(crate::KvError::TooLarge("key/value"));
+        }
+        if value == TOMBSTONE {
+            return Err(crate::KvError::EmptyValue);
         }
         self.wal.append(cpu, key, value);
         self.mem.put(cpu, key, value);
@@ -96,6 +103,9 @@ impl LsmStore {
     /// Delete a key: a tombstone write (LSM deletes are writes); the value
     /// disappears from reads immediately and physically at compaction.
     pub fn delete(&mut self, cpu: &mut Cpu, key: &[u8]) -> crate::Result<()> {
+        if key.len() > MAX_KEY {
+            return Err(crate::KvError::TooLarge("key"));
+        }
         self.wal.append(cpu, key, TOMBSTONE);
         self.mem.put(cpu, key, TOMBSTONE);
         if self.mem.bytes() >= self.cfg.memtable_bytes {
@@ -235,6 +245,33 @@ mod tests {
         s.compact(&mut cpu).unwrap();
         assert_eq!(s.get(&mut cpu, b"k0100"), None);
         assert_eq!(s.approximate_keys(), 499);
+    }
+
+    #[test]
+    fn empty_value_is_rejected_not_a_silent_delete() {
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let mut s = store(&mut cpu);
+        s.put(&mut cpu, b"k", b"v").unwrap();
+        assert!(matches!(
+            s.put(&mut cpu, b"k", b""),
+            Err(crate::KvError::EmptyValue)
+        ));
+        assert_eq!(s.get(&mut cpu, b"k"), Some(b"v".to_vec()));
+        assert_eq!(
+            s.scan(&mut cpu, b"", 10),
+            vec![(b"k".to_vec(), b"v".to_vec())]
+        );
+    }
+
+    #[test]
+    fn delete_has_the_put_key_limit() {
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let mut s = store(&mut cpu);
+        assert!(matches!(
+            s.delete(&mut cpu, &[b'k'; 5000]),
+            Err(crate::KvError::TooLarge(_))
+        ));
+        s.delete(&mut cpu, &[b'k'; MAX_KEY]).unwrap();
     }
 
     #[test]
