@@ -114,28 +114,42 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Inclusive range scan from `from`, up to `limit` results: merges the
-    /// memtable (not drained) and every run, newest version winning.
-    pub fn scan(&mut self, cpu: &mut Cpu, from: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut merged: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        // Oldest first so newer versions overwrite.
-        for run in self.runs.iter().rev() {
-            for (k, v) in run.scan_all(cpu) {
-                if k.as_slice() >= from {
-                    merged.insert(k, v);
+    /// Inclusive range scan from `from`, up to `limit` live records in key
+    /// order. The memtable and every run seek to `from` (one skip-list
+    /// descent; one sparse-index search per run) and a k-way merge reads
+    /// forward until `limit` live records: of equal keys the newest source
+    /// (memtable, then `runs[0]`, ...) wins and tombstones are skipped. Only
+    /// the blocks and memtable nodes the merge reads are charged, and only
+    /// the returned records are copied.
+    pub fn scan(&self, cpu: &mut Cpu, from: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        if limit == 0 {
+            return out;
+        }
+        let mut mem = self.mem.seek(cpu, from);
+        let mut runs: Vec<_> = self.runs.iter().map(|r| r.seek(cpu, from)).collect();
+        while out.len() < limit {
+            // The smallest head; a strict `<` keeps the newest of equal keys.
+            let mut next = mem.head();
+            for head in runs.iter().filter_map(|r| r.head()) {
+                if next.is_none_or(|(k, _)| head.0 < k) {
+                    next = Some(head);
                 }
             }
-        }
-        for (k, v) in self.mem.scan_sorted(cpu) {
-            if k.as_slice() >= from {
-                merged.insert(k, v);
+            let Some((key, value)) = next else { break };
+            if mem.head().is_some_and(|(k, _)| k == key) {
+                mem.advance(cpu);
+            }
+            for r in &mut runs {
+                if r.head().is_some_and(|(k, _)| k == key) {
+                    r.advance(cpu);
+                }
+            }
+            if value != TOMBSTONE {
+                out.push((key.to_vec(), value.to_vec()));
             }
         }
-        merged
-            .into_iter()
-            .filter(|(_, v)| v != TOMBSTONE)
-            .take(limit)
-            .collect()
+        out
     }
 
     /// Flush the memtable into a new run; maybe compact.
@@ -272,6 +286,29 @@ mod tests {
             Err(crate::KvError::TooLarge(_))
         ));
         s.delete(&mut cpu, &[b'k'; MAX_KEY]).unwrap();
+    }
+
+    #[test]
+    fn short_scans_read_only_what_they_merge() {
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let mut s = store(&mut cpu);
+        for i in 0..5000u64 {
+            s.put(&mut cpu, format!("k{i:08}").as_bytes(), &[1u8; 32])
+                .unwrap();
+        }
+        let store_lines: u64 = s.runs.iter().map(|r| r.bytes / 64).sum();
+        let before = cpu.pmu_snapshot();
+        let got = s.scan(&mut cpu, b"k00002500", 20);
+        let loads = cpu
+            .pmu_snapshot()
+            .delta(&before)
+            .get(simcore::Event::LoadIssued);
+        assert_eq!(got.len(), 20);
+        assert_eq!(got[0].0, b"k00002500");
+        assert!(
+            loads * 8 < store_lines,
+            "a 20-record scan loaded {loads} lines of a {store_lines}-line store"
+        );
     }
 
     #[test]

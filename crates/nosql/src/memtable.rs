@@ -5,11 +5,16 @@
 //! node arena, plus entry stores on insert.
 
 use simcore::{Cpu, Dep, ExecOp, Region};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
+use std::ops::Bound;
+
+/// An entry's value and the offset of its node in the arena.
+type Node = (Vec<u8>, u64);
 
 /// The memtable.
 pub struct Memtable {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    map: BTreeMap<Vec<u8>, Node>,
     arena: Region,
     bytes: u64,
     next_node: u64,
@@ -65,7 +70,7 @@ impl Memtable {
         let end = (at + len).min(self.arena.len);
         storage::page::touch_store(cpu, self.arena.addr + at, end - at);
         self.next_node += len.div_ceil(64);
-        if let Some(old) = self.map.insert(key.to_vec(), value.to_vec()) {
+        if let Some((old, _)) = self.map.insert(key.to_vec(), (value.to_vec(), at)) {
             self.bytes -= (key.len() + old.len()) as u64;
         }
         self.bytes += (key.len() + value.len()) as u64;
@@ -74,7 +79,7 @@ impl Memtable {
     /// Point lookup.
     pub fn get(&mut self, cpu: &mut Cpu, key: &[u8]) -> Option<Vec<u8>> {
         self.skiplist_descent(cpu);
-        let hit = self.map.get(key).cloned();
+        let hit = self.map.get(key).map(|(v, _)| v.clone());
         if let Some(v) = &hit {
             // Read the node's value bytes.
             let at = (key.len() as u64 * 131) % self.arena.len;
@@ -84,19 +89,17 @@ impl Memtable {
         hit
     }
 
-    /// Stream in key order without draining (range scans).
-    pub fn scan_sorted(&self, cpu: &mut Cpu) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let n = self.map.len() as u64;
-        storage::page::touch(
-            cpu,
-            self.arena.addr,
-            (n * 64).min(self.arena.len).max(64),
-            Dep::Stream,
-        );
-        self.map
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Position a cursor at the first entry `>= from`: one skip-list
+    /// descent.
+    pub(crate) fn seek(&self, cpu: &mut Cpu, from: &[u8]) -> Cursor<'_> {
+        self.skiplist_descent(cpu);
+        Cursor {
+            arena: self.arena.addr,
+            entries: self
+                .map
+                .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+                .peekable(),
+        }
     }
 
     /// Drain in key order (flush to an SSTable): streaming reads.
@@ -110,7 +113,33 @@ impl Memtable {
         );
         self.bytes = 0;
         self.next_node = 0;
-        std::mem::take(&mut self.map).into_iter().collect()
+        std::mem::take(&mut self.map)
+            .into_iter()
+            .map(|(k, (v, _))| (k, v))
+            .collect()
+    }
+}
+
+/// A forward cursor over the memtable for a range scan.
+pub(crate) struct Cursor<'a> {
+    arena: u64,
+    entries: Peekable<btree_map::Range<'a, Vec<u8>, Node>>,
+}
+
+impl<'a> Cursor<'a> {
+    /// The head entry's key and value (`None` past the last entry).
+    pub(crate) fn head(&mut self) -> Option<(&'a [u8], &'a [u8])> {
+        self.entries
+            .peek()
+            .map(|&(k, (v, _))| (k.as_slice(), v.as_slice()))
+    }
+
+    /// Step past the head: one chase load of its node line, whose level-0
+    /// link leads to the next entry.
+    pub(crate) fn advance(&mut self, cpu: &mut Cpu) {
+        if let Some((_, (_, node))) = self.entries.next() {
+            cpu.load(self.arena + node, Dep::Chase);
+        }
     }
 }
 

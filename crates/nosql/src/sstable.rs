@@ -75,12 +75,9 @@ impl SsTable {
         self.records.is_empty()
     }
 
-    /// Point lookup: bloom probe → sparse-index binary search → block scan.
-    pub fn get(&mut self, cpu: &mut Cpu, key: &[u8]) -> Option<Vec<u8>> {
-        if !self.bloom.may_contain(cpu, key) {
-            return None;
-        }
-        // Binary search over the sparse index (in-memory, chase-y).
+    /// Binary search over the sparse index (in-memory, chase-y): the number
+    /// of blocks whose first key is `<= key`.
+    fn index_search(&self, cpu: &mut Cpu, key: &[u8]) -> usize {
         let mut lo = 0usize;
         let mut hi = self.index.len();
         while lo < hi {
@@ -98,9 +95,12 @@ impl SsTable {
                 hi = mid;
             }
         }
-        let block = lo.checked_sub(1)?;
+        lo
+    }
+
+    /// Stream one block through the CPU.
+    fn stream_block(&self, cpu: &mut Cpu, block: usize) {
         let block_off = self.index[block].1;
-        // Scan the block.
         let end = self
             .index
             .get(block + 1)
@@ -113,6 +113,15 @@ impl SsTable {
             end.saturating_sub(block_off).max(1),
             Dep::Stream,
         );
+    }
+
+    /// Point lookup: bloom probe → sparse-index binary search → block scan.
+    pub fn get(&mut self, cpu: &mut Cpu, key: &[u8]) -> Option<Vec<u8>> {
+        if !self.bloom.may_contain(cpu, key) {
+            return None;
+        }
+        let block = self.index_search(cpu, key).checked_sub(1)?;
+        self.stream_block(cpu, block);
         cpu.exec_n(ExecOp::Branch, 8);
         // Host-side answer.
         match self
@@ -124,7 +133,26 @@ impl SsTable {
         }
     }
 
-    /// Stream every record in key order (compaction input / range scans).
+    /// Position a cursor at the first record `>= from`: the index search
+    /// [`SsTable::get`] does, then the block it lands on streams (the first
+    /// block when `from` precedes the run), as `get` streams its block.
+    pub(crate) fn seek(&self, cpu: &mut Cpu, from: &[u8]) -> Cursor<'_> {
+        let block = self.index_search(cpu, from).saturating_sub(1);
+        if !self.index.is_empty() {
+            self.stream_block(cpu, block);
+        }
+        let mut cursor = Cursor {
+            run: self,
+            pos: self
+                .records
+                .partition_point(|(k, _, _)| k.as_slice() < from),
+            block,
+        };
+        cursor.follow(cpu);
+        cursor
+    }
+
+    /// Stream every record in key order (compaction's input).
     pub fn scan_all(&self, cpu: &mut Cpu) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> + '_ {
         storage::page::touch(
             cpu,
@@ -133,6 +161,50 @@ impl SsTable {
             Dep::Stream,
         );
         self.records.iter().map(|(k, v, _)| (k.clone(), v.clone()))
+    }
+}
+
+/// A forward cursor over one run for a range scan. Past the block its seek
+/// streams, each block streams once, when the head first moves into it.
+pub(crate) struct Cursor<'a> {
+    run: &'a SsTable,
+    /// The head record.
+    pos: usize,
+    /// The last block streamed.
+    block: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The head record's key and value (`None` past the run's end).
+    pub(crate) fn head(&self) -> Option<(&'a [u8], &'a [u8])> {
+        self.run
+            .records
+            .get(self.pos)
+            .map(|(k, v, _)| (k.as_slice(), v.as_slice()))
+    }
+
+    /// Step past the head.
+    pub(crate) fn advance(&mut self, cpu: &mut Cpu) {
+        self.pos += 1;
+        self.follow(cpu);
+    }
+
+    /// Stream the next block if the head has moved into it (records are
+    /// contiguous and every block holds one, so a step crosses at most one
+    /// block boundary).
+    fn follow(&mut self, cpu: &mut Cpu) {
+        let Some((_, _, off)) = self.run.records.get(self.pos) else {
+            return;
+        };
+        if self
+            .run
+            .index
+            .get(self.block + 1)
+            .is_some_and(|(_, start)| start <= off)
+        {
+            self.block += 1;
+            self.run.stream_block(cpu, self.block);
+        }
     }
 }
 
