@@ -1307,9 +1307,9 @@ fn soa_cache_and_stamp_oracle_agree_on_victim_sequences() {
     // replaced the per-way LRU stamps; the retained stamp model is the
     // oracle. Drive both through the adversarial single-cache shapes — cold
     // sequential fills, stride conflicts that hammer one set, repeats,
-    // invalidation holes and random mixes — and demand the *entire* victim
-    // sequence (every Fill's writeback/evicted address) plus every
-    // hit/miss outcome be identical. LRU order is all victim selection
+    // invalidation holes, the fused walk's way-level primitives and random
+    // mixes — and demand the *entire* victim sequence (every Fill's
+    // writeback/evicted address) plus every hit/miss outcome be identical. LRU order is all victim selection
     // observes, so any divergence here is a representation bug.
     use simcore::cache::{oracle::StampCache, Cache};
     use simcore::CacheConfig;
@@ -1328,10 +1328,10 @@ fn soa_cache_and_stamp_oracle_agree_on_victim_sequences() {
         let mut o = StampCache::new(&cfg);
         let mut rng = Rng::new(0xa076_1d64_78bd_642f ^ size);
         let span_lines = 4 * (size / 64); // 4× capacity: constant eviction
-        let mut fills = 0u64;
+        let (mut fills, mut touches) = (0u64, 0u64);
         for step in 0..6000u64 {
             let a = rng.below(span_lines) * LINE;
-            match rng.below(10) {
+            match rng.below(11) {
                 // Miss-then-fill, the demand pattern of the hierarchy.
                 0..=3 => {
                     let w = rng.flip();
@@ -1378,6 +1378,34 @@ fn soa_cache_and_stamp_oracle_agree_on_victim_sequences() {
                 8 => {
                     assert_eq!(c.invalidate(a), o.invalidate(a), "invalidate {a}");
                 }
+                // The fused walk's primitives: find_way then touch_way on a
+                // hit, victim_way then install_at on a miss.
+                9 => {
+                    let way = c.find_way(a);
+                    assert_eq!(way, o.find_way(a), "find_way {a} at step {step}");
+                    let w = rng.flip();
+                    match way {
+                        Some(way) => {
+                            assert_eq!(
+                                c.touch_way(way, w),
+                                o.touch_way(way, w),
+                                "touch_way {a} at step {step}"
+                            );
+                            touches += 1;
+                        }
+                        None => {
+                            let victim = c.victim_way(a);
+                            assert_eq!(victim, o.victim_way(a), "victim_way {a} at step {step}");
+                            let p = rng.flip();
+                            assert_eq!(
+                                c.install_at(a, victim, w, p),
+                                o.install_at(a, victim, w, p),
+                                "install_at {a} at step {step}"
+                            );
+                            fills += 1;
+                        }
+                    }
+                }
                 _ => {
                     let n = rng.below(16);
                     let w = rng.flip();
@@ -1391,5 +1419,6 @@ fn soa_cache_and_stamp_oracle_agree_on_victim_sequences() {
         }
         assert_eq!(c.resident(), o.resident(), "final residency");
         assert!(fills > 4000, "trace must keep the sets boiling ({fills})");
+        assert!(touches > 40, "the primitives arm must hit too ({touches})");
     }
 }
