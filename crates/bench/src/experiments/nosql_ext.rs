@@ -3,11 +3,12 @@
 //! YCSB-like mixes.
 //!
 //! The question the paper poses: does the L1D energy bottleneck generalise
-//! beyond relational query workloads? The answer here: partially. Scan-
-//! and compaction-heavy mixes look like relational scans (L1D-leaning);
-//! point-read mixes spend their energy on bloom probes, index descents and
-//! skip-list chases (stall-leaning) — between the paper's query workloads
-//! and its CPU-bound workloads.
+//! beyond relational query workloads? The answer here: no. Point-read mixes
+//! spend their energy on bloom probes, index descents and skip-list chases
+//! (stall-leaning); the short scans of YCSB-E seek with the same chases and
+//! read a block or two per run, so they lean more on L1D than point reads
+//! but stay stall-bound — every mix sits between the paper's query
+//! workloads and its CPU-bound workloads.
 
 use std::any::Any;
 use std::fmt::Write as _;

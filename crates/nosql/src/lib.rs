@@ -13,14 +13,17 @@
 //!   map for correctness),
 //! * immutable **SSTables** with block-sparse indexes and **bloom filters**,
 //! * size-tiered **compaction**,
-//! * a **YCSB-like workload driver** (A/B/C/D/F mixes, Zipfian keys).
+//! * range scans that seek the memtable and every run, then k-way merge
+//!   forward (newest version wins, tombstones skipped),
+//! * a **YCSB-like workload driver** (A–F mixes, Zipfian keys).
 //!
 //! Every access runs through [`simcore::Cpu`], so the §2 methodology breaks
 //! a YCSB run down exactly like a TPC-H query (see the `future_nosql`
-//! harness). The expected contrast: point reads are dominated by bloom-probe
-//! and index pointer chases (stall + DRAM heavy) while scans and compactions
-//! stream (L1D/prefetch heavy) — NoSQL sits between the paper's query
-//! workloads and its CPU-bound workloads.
+//! harness). Point reads are dominated by bloom-probe, index and skip-list
+//! pointer chases (stall heavy). A short scan seeks with the same chases and
+//! then reads a block or two per run, so it leans more on L1D but stays
+//! stall-bound; only flushes and compactions stream whole runs. NoSQL sits
+//! between the paper's query workloads and its CPU-bound workloads.
 
 pub mod bloom;
 pub mod lsm;
