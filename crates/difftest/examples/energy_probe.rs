@@ -16,7 +16,7 @@ fn main() {
             .unwrap(),
     );
     let mut engines: Vec<Engine> = Variant::ALL.iter().map(|&v| Engine::build(v)).collect();
-    let cases = corpus::full_corpus(50, 0x00d1ff);
+    let cases = corpus::full_corpus(50, mjdiff::SEED);
     let mut lo = (f64::INFINITY, String::new());
     let mut hi = (0.0f64, String::new());
     for case in &cases {

@@ -87,12 +87,16 @@ pub struct Engine {
     handle: Handle,
 }
 
-/// Result of one case on one engine: canonical sorted rows (or the
-/// engine's refusal) plus any invariant violations observed while running.
+/// One case's answer on one engine: sorted canonical row strings
+/// ([`canon_rows`]), or the engine's error message.
+pub type Digest = Result<Vec<String>, String>;
+
+/// Result of one case on one engine: its [`Digest`] plus any invariant
+/// violations observed while running.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
     /// Sorted canonical row strings, or the engine's error message.
-    pub digest: Result<Vec<String>, String>,
+    pub digest: Digest,
     /// Invariant violations (conservation / fast-path / energy model).
     pub violations: Vec<String>,
 }
@@ -100,7 +104,7 @@ pub struct CaseOutcome {
 /// Canonicalize one row for cross-engine comparison. Floats are rounded
 /// to 5 decimals — aggregate accumulation order differs across engines,
 /// so exact bit equality is deliberately not required (the repo-wide
-/// convention, same as `tests/end_to_end.rs`).
+/// convention).
 pub fn canon_row(row: &Row) -> String {
     row.iter()
         .map(|v| match v {
@@ -109,6 +113,14 @@ pub fn canon_row(row: &Row) -> String {
         })
         .collect::<Vec<_>>()
         .join("|")
+}
+
+/// The sorted [`canon_row`]s of `rows`: a result set as a multiset, the
+/// form the cross-engine tests compare.
+pub fn canon_rows(rows: &[Row]) -> Vec<String> {
+    let mut canon: Vec<String> = rows.iter().map(canon_row).collect();
+    canon.sort();
+    canon
 }
 
 impl Engine {
@@ -202,11 +214,7 @@ impl Engine {
         }
 
         let digest = match result.expect("measure ran") {
-            Ok(rows) => {
-                let mut canon: Vec<String> = rows.iter().map(canon_row).collect();
-                canon.sort();
-                Ok(canon)
-            }
+            Ok(rows) => Ok(canon_rows(&rows)),
             Err(e) => Err(format!("{e:?}")),
         };
         CaseOutcome { digest, violations }

@@ -11,7 +11,7 @@
 //!
 //! * **Corpus** ([`corpus`]): all 22 TPC-H plans, the 7 basic operations,
 //!   and a deterministic seeded generator of randomized SQL ([`fuzz`])
-//!   over the TPC-H schema, compiled once through `sqlfe` and executed on
+//!   over the TPC-H schema, compiled through `sqlfe` and executed on
 //!   every engine variant.
 //! * **Variants** ([`harness`]): the pg/lite/my/vec personalities on the
 //!   simulated i7-4790, plus SQLite-with-DTCM on the ARM1176JZF-S — five
@@ -30,10 +30,14 @@
 //!   structurally (drop predicates, joins, aggregates, ORDER BY, LIMIT)
 //!   to a minimal reproducer before it is reported.
 //!
-//! The harness is wired into `mjrt` as the `difftest` experiment (one
-//! shard per variant, `--jobs`-independent by construction), run with
-//! `repro_all --filter difftest [--diff-fuzz N]`; any disagreement or
-//! invariant violation fails the run.
+//! [`run_variant`] and [`judge`] are the only differential driver: the
+//! first builds one variant and runs the full corpus on it, the second
+//! compares the runs and shrinks each disagreeing fuzz case on freshly
+//! built engines; [`diff`] runs both in-process. The `difftest` experiment
+//! (crate `bench`) runs one [`run_variant`] per shard and [`judge`]s in its
+//! assemble step, so `repro_all --filter difftest [--diff-fuzz N]` reports
+//! the same for any `--jobs` and fails on any disagreement or invariant
+//! violation. The fuzz seed defaults to [`SEED`].
 
 pub mod corpus;
 pub mod fuzz;
@@ -43,9 +47,12 @@ pub mod reduce;
 
 pub use corpus::{compile_case, Case};
 pub use fuzz::GenQuery;
-pub use harness::{CaseOutcome, Engine, Variant};
+pub use harness::{CaseOutcome, Digest, Engine, Variant};
 
-use engines::Plan;
+use analysis::EnergyTable;
+
+/// The fuzz stream's default seed.
+pub const SEED: u64 = 0x00d1ff;
 
 /// Configuration for one differential run.
 #[derive(Debug, Clone, Copy)]
@@ -54,18 +61,28 @@ pub struct DiffConfig {
     pub fuzz: usize,
     /// Fuzzer seed (the corpus is a pure function of `(seed, fuzz)`).
     pub seed: u64,
-    /// Check the energy-model invariant (needs calibrated tables).
-    pub energy: bool,
 }
 
 impl Default for DiffConfig {
     fn default() -> Self {
         DiffConfig {
             fuzz: 0,
-            seed: 0x00d1ff,
-            energy: true,
+            seed: SEED,
         }
     }
+}
+
+/// One variant's pass over the full corpus: what [`judge`] compares.
+#[derive(Debug, Clone)]
+pub struct VariantRun {
+    /// The variant that ran.
+    pub variant: Variant,
+    /// Fuzz queries rejected by the frontend.
+    pub rejected: usize,
+    /// `(corpus index, digest)` per compiled case, in corpus order.
+    pub outcomes: Vec<(usize, Digest)>,
+    /// Invariant violations, as `case: message`.
+    pub violations: Vec<String>,
 }
 
 /// A cross-variant disagreement on one case.
@@ -82,29 +99,36 @@ pub struct Disagreement {
 }
 
 /// Outcome of a full differential run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DiffReport {
     /// Cases executed on every variant.
     pub cases: usize,
     /// Fuzz queries rejected by the frontend (an error, not a panic, is
     /// the required behaviour — rejects are counted, not failures).
     pub rejected: usize,
+    /// Invariant violations per variant, in run order, each as
+    /// `case: message`.
+    pub violations: Vec<(Variant, Vec<String>)>,
     /// Result-set disagreements (empty on a healthy tree).
     pub disagreements: Vec<Disagreement>,
-    /// Energy-accounting invariant violations, as `case/variant: message`.
-    pub violations: Vec<String>,
 }
 
 impl DiffReport {
+    /// Invariant violations plus disagreements.
+    pub fn failures(&self) -> usize {
+        let violations: usize = self.violations.iter().map(|(_, v)| v.len()).sum();
+        violations + self.disagreements.len()
+    }
+
     /// True when every variant agreed everywhere and no invariant fired.
     pub fn clean(&self) -> bool {
-        self.disagreements.is_empty() && self.violations.is_empty()
+        self.failures() == 0
     }
 }
 
-/// Compare two case outcomes; `None` when they agree.
-pub fn compare(a: &CaseOutcome, b: &CaseOutcome) -> Option<String> {
-    match (&a.digest, &b.digest) {
+/// Compare two digests; `None` when they agree.
+pub fn compare(a: &Digest, b: &Digest) -> Option<String> {
+    match (a, b) {
         (Ok(x), Ok(y)) => {
             if x.len() != y.len() {
                 return Some(format!("row counts differ: {} vs {}", x.len(), y.len()));
@@ -123,86 +147,101 @@ pub fn compare(a: &CaseOutcome, b: &CaseOutcome) -> Option<String> {
     }
 }
 
-/// Run the whole differential harness in-process: build every variant,
-/// compile the corpus once, execute everywhere, compare, and minimize any
-/// fuzz disagreement. `tables` supplies a calibrated energy table per
-/// architecture (return `None` to skip the energy invariant for it).
-pub fn diff(
-    cfg: &DiffConfig,
-    tables: &dyn Fn(simcore::ArchKind) -> Option<std::sync::Arc<analysis::EnergyTable>>,
-) -> DiffReport {
-    let mut engines: Vec<Engine> = Variant::ALL.iter().map(|&v| Engine::build(v)).collect();
-    let cases = corpus::full_corpus(cfg.fuzz, cfg.seed);
-
-    let mut report = DiffReport::default();
-    for case in &cases {
-        let plan = match compile_case(case, engines[0].catalog()) {
-            Ok(p) => p,
-            Err(_) => {
-                report.rejected += 1;
-                continue;
-            }
+/// Build `variant` and run the full corpus of `cfg` on it, checking the
+/// invariants on every case — the energy-model one only when `table`, a
+/// calibrated table for the variant's architecture, is given. The variant
+/// compiles the corpus against its own catalog; catalogs are identical by
+/// construction, so every variant runs the same plans.
+pub fn run_variant(variant: Variant, cfg: &DiffConfig, table: Option<&EnergyTable>) -> VariantRun {
+    let mut engine = Engine::build(variant);
+    let mut run = VariantRun {
+        variant,
+        rejected: 0,
+        outcomes: Vec::new(),
+        violations: Vec::new(),
+    };
+    for (i, case) in corpus::full_corpus(cfg.fuzz, cfg.seed).iter().enumerate() {
+        let Ok(plan) = compile_case(case, engine.catalog()) else {
+            run.rejected += 1;
+            continue;
         };
-        report.cases += 1;
-        let outcomes: Vec<CaseOutcome> = engines
-            .iter_mut()
-            .map(|e| {
-                let table = if cfg.energy {
-                    tables(e.variant.arch())
-                } else {
-                    None
-                };
-                e.run_case(&plan, table.as_deref())
-            })
-            .collect();
-        for (e, o) in engines.iter().zip(&outcomes) {
-            for v in &o.violations {
-                report
-                    .violations
-                    .push(format!("{}/{}: {v}", case.name(), e.variant.name()));
-            }
-        }
-        for i in 1..outcomes.len() {
-            if let Some(detail) = compare(&outcomes[0], &outcomes[i]) {
-                let pair = (engines[0].variant.name(), engines[i].variant.name());
-                let minimized_sql = minimize_case(case, &mut engines);
-                report.disagreements.push(Disagreement {
-                    case: case.name(),
-                    pair,
-                    detail,
-                    minimized_sql,
-                });
-                break; // one disagreement record per case
-            }
+        let o = engine.run_case(&plan, table);
+        let name = case.name();
+        run.violations
+            .extend(o.violations.iter().map(|v| format!("{name}: {v}")));
+        run.outcomes.push((i, o.digest));
+    }
+    run
+}
+
+/// Compare every run of `cfg`'s corpus with the first, keep one record per
+/// disagreeing case, and shrink each disagreeing fuzz case to a minimal
+/// reproducer on freshly built engines (built once, on the first such
+/// case).
+pub fn judge(runs: Vec<VariantRun>, cfg: &DiffConfig) -> DiffReport {
+    let cases = corpus::full_corpus(cfg.fuzz, cfg.seed);
+    let (first, rest) = runs.split_first().expect("at least one variant run");
+    let mut rebuilt: Option<Vec<Engine>> = None;
+    let mut disagreements = Vec::new();
+    for (slot, (idx, digest)) in first.outcomes.iter().enumerate() {
+        for other in rest {
+            let (other_idx, other_digest) = &other.outcomes[slot];
+            assert_eq!(idx, other_idx, "variants ran different corpora");
+            let Some(detail) = compare(digest, other_digest) else {
+                continue;
+            };
+            let case = &cases[*idx];
+            let minimized_sql = match case {
+                Case::Fuzz(_, q) => {
+                    let engines = rebuilt.get_or_insert_with(|| {
+                        Variant::ALL.iter().map(|&v| Engine::build(v)).collect()
+                    });
+                    Some(reduce::minimize(q.clone(), |c| disagrees(c, engines)).to_sql())
+                }
+                _ => None,
+            };
+            disagreements.push(Disagreement {
+                case: case.name(),
+                pair: (first.variant.name(), other.variant.name()),
+                detail,
+                minimized_sql,
+            });
+            break; // one record per case
         }
     }
-    report
+    DiffReport {
+        cases: first.outcomes.len(),
+        rejected: first.rejected,
+        violations: runs
+            .into_iter()
+            .map(|r| (r.variant, r.violations))
+            .collect(),
+        disagreements,
+    }
 }
 
-/// For a disagreeing fuzz case, shrink the query to a minimal reproducer.
-fn minimize_case(case: &Case, engines: &mut [Engine]) -> Option<String> {
-    let Case::Fuzz(_, q) = case else { return None };
-    let minimal = reduce::minimize(q.clone(), |cand| {
-        disagrees(&Case::Fuzz(0, cand.clone()), engines)
-    });
-    Some(minimal.to_sql())
-}
-
-/// Whether `case` still produces a cross-variant disagreement (used as the
-/// reducer's oracle). Compile failures count as "no disagreement".
-fn disagrees(case: &Case, engines: &mut [Engine]) -> bool {
-    let Ok(plan) = compile_case(case, engines[0].catalog()) else {
+/// The reducer's oracle: does `q` still split `engines`? A query the
+/// frontend rejects counts as agreement.
+fn disagrees(q: &GenQuery, engines: &mut [Engine]) -> bool {
+    let Ok(plan) = compile_case(&Case::Fuzz(0, q.clone()), engines[0].catalog()) else {
         return false;
     };
-    let outcomes: Vec<CaseOutcome> = engines
+    let digests: Vec<Digest> = engines
         .iter_mut()
-        .map(|e| e.run_case(&plan, None))
+        .map(|e| e.run_case(&plan, None).digest)
         .collect();
-    (1..outcomes.len()).any(|i| compare(&outcomes[0], &outcomes[i]).is_some())
+    digests[1..]
+        .iter()
+        .any(|d| compare(&digests[0], d).is_some())
 }
 
-/// Render a plan-level case for reporting (used by the registered
-/// experiment and the corpus regression test).
-pub fn describe_plan(plan: &Plan) -> String {
-    format!("{plan:?}")
+/// The whole differential run in-process: [`run_variant`] for every
+/// variant, then [`judge`]. Every invariant but the energy model's is
+/// checked; that one needs calibrated tables, which [`run_variant`] takes.
+pub fn diff(cfg: &DiffConfig) -> DiffReport {
+    let runs = Variant::ALL
+        .iter()
+        .map(|&v| run_variant(v, cfg, None))
+        .collect();
+    judge(runs, cfg)
 }

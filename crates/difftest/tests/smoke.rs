@@ -7,10 +7,10 @@ use mjdiff::{diff, DiffConfig};
 fn fixed_corpus_and_short_fuzz_are_clean() {
     let cfg = DiffConfig {
         fuzz: 25,
-        seed: 0x00d1ff,
-        energy: false, // energy-model invariant exercised in tests/difftest_corpus.rs
+        ..DiffConfig::default()
     };
-    let report = diff(&cfg, &|_| None);
+    // The energy-model invariant is exercised in tests/difftest_corpus.rs.
+    let report = diff(&cfg);
     assert_eq!(report.cases + report.rejected, 29 + 25);
     assert!(
         report.clean(),

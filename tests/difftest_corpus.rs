@@ -10,35 +10,44 @@
 //! harness (see the satellite regression tests in their home crates for
 //! the pre-fix failures; these are the SQL-level shapes).
 
-use std::sync::Arc;
-
 use analysis::{CalibrationBuilder, EnergyTable};
-use mjdiff::{diff, DiffConfig, Engine, Variant};
+use mjdiff::{judge, run_variant, DiffConfig, Engine, Variant};
 use simcore::{ArchConfig, ArchKind};
 
-fn quick_tables() -> (Arc<EnergyTable>, Arc<EnergyTable>) {
+fn quick_tables() -> (EnergyTable, EnergyTable) {
     let x86 = CalibrationBuilder::quick().calibrate().expect("x86 table");
     let arm = CalibrationBuilder::new(ArchConfig::arm1176jzf_s())
         .target_ops(20_000)
         .calibrate()
         .expect("arm table");
-    (Arc::new(x86), Arc::new(arm))
+    (x86, arm)
 }
 
 #[test]
 fn fixed_corpus_agrees_across_all_variants_under_invariants() {
     let (x86, arm) = quick_tables();
-    let cfg = DiffConfig {
-        fuzz: 0,
-        seed: 0,
-        energy: true,
-    };
-    let report = diff(&cfg, &|kind| {
-        Some(match kind {
-            ArchKind::X86 => x86.clone(),
-            ArchKind::Arm => arm.clone(),
+    let cfg = DiffConfig::default();
+    let runs: Vec<_> = Variant::ALL
+        .iter()
+        .map(|&v| {
+            let table = match v.arch() {
+                ArchKind::X86 => &x86,
+                ArchKind::Arm => &arm,
+            };
+            run_variant(v, &cfg, Some(table))
         })
-    });
+        .collect();
+    // Agreement alone would also pass if every variant failed alike.
+    for run in &runs {
+        for (i, digest) in &run.outcomes {
+            assert!(
+                digest.is_ok(),
+                "case {i} on {}: {digest:?}",
+                run.variant.name()
+            );
+        }
+    }
+    let report = judge(runs, &cfg);
     assert_eq!(report.cases, 29, "22 TPC-H + 7 basic ops");
     assert!(
         report.clean(),
