@@ -19,29 +19,11 @@
 //! without limits, and projections.
 
 use engines::{db::demo_database, EngineKind, Plan};
+use mjdiff::harness::canon_rows;
 use mjdiff::invariants::conservation_violations;
 use proptest::prelude::*;
 use simcore::{ArchConfig, ArchKind, Cpu};
-use storage::{AggFn, AggSpec, CmpOp, Expr, Row, Value};
-
-/// Canonical sorted digest, floats rounded to 5 decimals (accumulation
-/// order differs between batch and row aggregation).
-fn digest(rows: &[Row]) -> Vec<String> {
-    let mut canon: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|v| match v {
-                    Value::Float(f) => format!("F{f:.5}"),
-                    other => format!("{other:?}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    canon.sort();
-    canon
-}
+use storage::{AggFn, AggSpec, CmpOp, Expr};
 
 /// A random single-column predicate over the items schema
 /// (id: Int 0..200, cat: Int 0..10, price: Float 0.5..6.5).
@@ -145,7 +127,7 @@ proptest! {
             let rows = rows.expect("measure ran").expect("plan runs");
             let viol = conservation_violations(ArchKind::X86, &m.pmu);
             prop_assert!(viol.is_empty(), "{kind:?}: {viol:?}");
-            digests.push((kind, digest(&rows)));
+            digests.push((kind, canon_rows(&rows)));
         }
         for (kind, d) in &digests[1..] {
             prop_assert_eq!(&digests[0].1, d, "Pg vs {:?} on {}", kind, plan.explain());

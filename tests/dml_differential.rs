@@ -8,7 +8,7 @@
 //! statements, and after each one the test compares
 //!
 //! * the affected-row counts, and
-//! * the canonical row multisets (difftest's [`canon_row`]) of a fixed
+//! * the canonical row multisets (difftest's [`canon_rows`]) of a fixed
 //!   query set: a full scan, index ranges on the secondary `cat` index,
 //!   the `id` primary key and the unindexed `price` column, the
 //!   `items` ⋈ `cats` join, grouped and scalar aggregates, and top-N.
@@ -18,7 +18,7 @@
 
 use engines::dml::lit;
 use engines::{db::demo_database, Database, Dml, EngineKind, Plan};
-use mjdiff::harness::canon_row;
+use mjdiff::harness::canon_rows;
 use simcore::{ArchConfig, Cpu};
 use storage::{AggFn, AggSpec, CmpOp, Expr, Value};
 
@@ -158,9 +158,7 @@ fn apply(cpu: &mut Cpu, db: &mut Database, stmt: &Stmt) -> Result<u64, String> {
 
 fn digest(cpu: &mut Cpu, db: &mut Database, plan: &Plan) -> Result<Vec<String>, String> {
     let rows = db.session().run(cpu, plan).map_err(|e| format!("{e:?}"))?;
-    let mut canon: Vec<String> = rows.iter().map(canon_row).collect();
-    canon.sort();
-    Ok(canon)
+    Ok(canon_rows(&rows))
 }
 
 #[test]

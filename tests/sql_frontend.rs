@@ -2,28 +2,12 @@
 //! TPC-H database, across every engine.
 
 use engines::{EngineKind, KnobLevel};
+use mjdiff::harness::canon_rows;
 use simcore::{ArchConfig, Cpu};
 use sqlfe::{compile, Planned};
 use storage::Row;
 use workloads::tpch::gen::build_tpch_db;
 use workloads::TpchScale;
-
-fn canon(mut rows: Vec<Row>) -> Vec<String> {
-    let mut out: Vec<String> = rows
-        .drain(..)
-        .map(|r| {
-            r.into_iter()
-                .map(|v| match v {
-                    storage::Value::Float(f) => format!("F{:.5}", f),
-                    other => format!("{other:?}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    out.sort();
-    out
-}
 
 fn run_sql(cpu: &mut Cpu, db: &mut engines::Database, sql: &str) -> Vec<Row> {
     match compile(sql, db.catalog()).expect("compile") {
@@ -54,7 +38,7 @@ fn sql_q6_equals_handbuilt_plan() {
         .session()
         .run(&mut cpu, &workloads::TpchQuery(6).plan())
         .unwrap();
-    assert_eq!(canon(via_sql), canon(via_plan));
+    assert_eq!(canon_rows(&via_sql), canon_rows(&via_plan));
 }
 
 #[test]
@@ -66,7 +50,7 @@ fn sql_joins_and_aggregates_agree_across_engines() {
     for kind in EngineKind::ALL {
         let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
         let mut db = build_tpch_db(&mut cpu, kind, KnobLevel::Baseline, TpchScale::tiny()).unwrap();
-        results.push(canon(run_sql(&mut cpu, &mut db, sql)));
+        results.push(canon_rows(&run_sql(&mut cpu, &mut db, sql)));
     }
     for (i, kind) in EngineKind::ALL.into_iter().enumerate().skip(1) {
         assert_eq!(results[0], results[i], "Pg vs {kind:?}");
