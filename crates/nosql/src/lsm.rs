@@ -185,8 +185,11 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Total live keys (diagnostic; scans every run).
-    pub fn approximate_keys(&self) -> usize {
+    /// Records held by the runs and the memtable, counting every older
+    /// version and tombstone no compaction has dropped yet (diagnostic).
+    /// Right after [`flush`](Self::flush) + [`compact`](Self::compact) it
+    /// is the number of live keys.
+    pub fn entries(&self) -> usize {
         self.runs.iter().map(|r| r.len()).sum::<usize>() + self.mem.len()
     }
 }
@@ -258,7 +261,34 @@ mod tests {
         s.flush(&mut cpu).unwrap();
         s.compact(&mut cpu).unwrap();
         assert_eq!(s.get(&mut cpu, b"k0100"), None);
-        assert_eq!(s.approximate_keys(), 499);
+        assert_eq!(s.entries(), 499);
+    }
+
+    #[test]
+    fn entries_count_old_versions_until_a_full_compaction() {
+        let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+        let mut s = store(&mut cpu);
+        let key = |i: u64| format!("k{i:04}").into_bytes();
+        // 100 keys of 13 bytes each stay under the 4 KB flush threshold.
+        for i in 0..100 {
+            s.put(&mut cpu, &key(i), &[1u8; 8]).unwrap();
+        }
+        s.flush(&mut cpu).unwrap();
+        assert_eq!(s.entries(), 100);
+        // Overwrite 40 flushed keys and delete one: the run keeps the old
+        // versions beside the memtable's new ones and the tombstone.
+        for i in 0..40 {
+            s.put(&mut cpu, &key(i), &[2u8; 8]).unwrap();
+        }
+        s.delete(&mut cpu, &key(50)).unwrap();
+        assert_eq!(s.entries(), 141);
+        s.flush(&mut cpu).unwrap();
+        assert_eq!(s.runs.len(), 2);
+        assert_eq!(s.entries(), 141);
+        s.compact(&mut cpu).unwrap();
+        assert_eq!(s.entries(), 99);
+        assert_eq!(s.get(&mut cpu, &key(7)), Some(vec![2u8; 8]));
+        assert_eq!(s.get(&mut cpu, &key(50)), None);
     }
 
     #[test]
@@ -324,6 +354,6 @@ mod tests {
             "runs must stay bounded, got {}",
             s.runs.len()
         );
-        assert_eq!(s.approximate_keys(), 5000);
+        assert_eq!(s.entries(), 5000);
     }
 }
