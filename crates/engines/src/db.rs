@@ -85,13 +85,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access (schema surgery in tests and tools; ordinary
-    /// DDL goes through [`Database::create_table`] /
-    /// [`Database::create_index`]).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Create a table. `cluster_col` names the integer column the engine
     /// clusters/indexes as primary key (non-unique allowed, e.g. lineitem's
     /// `l_orderkey`).
@@ -185,11 +178,6 @@ impl Database {
         let tree = BTree::bulk_load(cpu, &mut self.store, &pairs)?;
         self.catalog.table_mut(table)?.secondary.push((ci, tree));
         Ok(())
-    }
-
-    /// Total rows across all tables (diagnostic).
-    pub fn total_rows(&self) -> u64 {
-        self.catalog.tables().iter().map(|t| t.heap.len()).sum()
     }
 }
 

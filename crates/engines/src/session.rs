@@ -90,11 +90,6 @@ impl SessionCtx {
         self.release();
         result
     }
-
-    /// Whether the scratch region is currently checked out.
-    pub fn is_checked_out(&self) -> bool {
-        self.checked_out
-    }
 }
 
 /// A session: the per-client execution handle over one engine instance.

@@ -49,23 +49,6 @@ impl ListChain {
         })
     }
 
-    /// Build a chain in TCM with sequential logical order.
-    pub fn sequential_tcm(cpu: &mut Cpu, smem: u64) -> Result<ListChain, MemError> {
-        let items = smem / ITEM;
-        assert!(items >= 2, "chain needs at least two items");
-        let region = cpu.alloc_tcm(items * ITEM)?;
-        let arena = cpu.arena_mut();
-        for j in 0..items {
-            let next = (j + 1) % items;
-            arena.write_u64(region.addr + j * ITEM, region.addr + next * ITEM)?;
-        }
-        Ok(ListChain {
-            region,
-            items,
-            head: region.addr,
-        })
-    }
-
     /// Build a chain whose logical order is a span-constrained random
     /// permutation (Algorithm 3 / Fig. 4d).
     ///

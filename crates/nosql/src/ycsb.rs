@@ -49,7 +49,6 @@ impl YcsbMix {
 /// A loaded key space + driver state.
 pub struct Workload {
     mix: YcsbMix,
-    keys: u64,
     inserted: u64,
     rng: SmallRng,
     zipf: Zipf,
@@ -71,7 +70,6 @@ impl Workload {
         }
         Ok(Workload {
             mix,
-            keys,
             inserted: keys,
             rng: SmallRng::seed_from_u64(0x5eed1),
             zipf: Zipf::new(keys, 0.99),
@@ -89,7 +87,6 @@ impl Workload {
     pub fn attach(mix: YcsbMix, keys: u64, value_bytes: usize, seed: u64) -> Workload {
         Workload {
             mix,
-            keys,
             inserted: keys,
             rng: SmallRng::seed_from_u64(seed),
             zipf: Zipf::new(keys, 0.99),
@@ -176,11 +173,6 @@ impl Workload {
             }
         }
         Ok((reads, writes, misses))
-    }
-
-    /// Keys loaded initially.
-    pub fn key_count(&self) -> u64 {
-        self.keys
     }
 }
 

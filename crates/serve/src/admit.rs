@@ -93,11 +93,6 @@ impl<T> AdmissionControl<T> {
     pub fn inflight(&self) -> u32 {
         self.inflight
     }
-
-    /// Requests currently parked in the wait queue.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]

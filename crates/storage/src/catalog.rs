@@ -79,11 +79,6 @@ impl Catalog {
         Ok(&mut self.tables[*id])
     }
 
-    /// Lookup by id.
-    pub fn table_by_id(&self, id: TableId) -> &TableInfo {
-        &self.tables[id]
-    }
-
     /// Id for a name.
     pub fn id_of(&self, name: &str) -> crate::Result<TableId> {
         self.by_name

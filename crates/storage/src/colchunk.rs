@@ -18,7 +18,7 @@
 //! host value is authoritative for comparisons and output.
 
 use crate::heap::HeapFile;
-use crate::page::{touch, touch_store};
+use crate::page::touch;
 use crate::schema::Schema;
 use crate::tuple::decode_row;
 use crate::value::Value;
@@ -62,15 +62,6 @@ impl ColumnVec {
         let blo = lo as u64 / 8;
         let bhi = (hi as u64).div_ceil(8);
         touch(cpu, self.valid.addr + blo, (bhi - blo).max(1), dep);
-    }
-
-    /// Simulate writing rows `[lo, hi)` of this column (materialization
-    /// into an output vector).
-    pub fn touch_range_store(&self, cpu: &mut Cpu, lo: usize, hi: usize) {
-        if hi <= lo {
-            return;
-        }
-        touch_store(cpu, self.data.addr + 8 * lo as u64, 8 * (hi - lo) as u64);
     }
 }
 

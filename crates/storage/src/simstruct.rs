@@ -115,33 +115,6 @@ impl SimHashTable {
         }
         chain
     }
-
-    /// Iterate all `(key, row)` pairs (group-by finalisation): streaming
-    /// reads over the entry area.
-    pub fn drain_all(self, cpu: &mut Cpu) -> Vec<(Value, Row)> {
-        let SimHashTable {
-            region,
-            entry_bytes,
-            entries_base,
-            n_entries,
-            capacity,
-            map,
-            ..
-        } = self;
-        let entry_addr_raw = |b: u64, j: u64| entries_base + ((b * 7 + j) % capacity) * entry_bytes;
-        let mut out = Vec::with_capacity(n_entries as usize);
-        // Single-line runs keep the access sequence identical to scalar
-        // loads while letting the warm bucket array ride the batched
-        // L1D-hit path (8 heads per line).
-        for (i, bucket) in map.into_iter().enumerate() {
-            cpu.access_run(region.addr + i as u64 * 8, 1, false, Dep::Stream);
-            for (j, kv) in bucket.into_iter().enumerate() {
-                cpu.access_run(entry_addr_raw(i as u64, j as u64), 1, false, Dep::Stream);
-                out.push(kv);
-            }
-        }
-        out
-    }
 }
 
 /// A sort area: rows are staged with simulated writes, sorted host-side
