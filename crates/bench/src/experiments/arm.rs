@@ -5,12 +5,12 @@ use std::any::Any;
 use std::fmt::Write as _;
 
 use analysis::report::TextTable;
-use engines::{DtcmConfig, DtcmDatabase, EngineKind, KnobLevel, Knobs};
+use engines::{dtcm, DtcmConfig, EngineKind, KnobLevel, Knobs};
 use microbench::runner::{bench_cpu, RunConfig};
 use microbench::MicroBenchId;
 use mjrt::experiment::downcast_shard;
 use mjrt::{ExpCtx, Experiment, HarnessConfig, Report};
-use simcore::{ArchConfig, ArchKind, Cpu, Measurement, PState};
+use simcore::{ArchConfig, ArchKind, PState};
 use storage::Row;
 use workloads::{TpchQuery, TpchScale};
 
@@ -20,25 +20,21 @@ const HOT_TABLES: [&str; 8] = [
     "lineitem", "orders", "customer", "part", "partsupp", "supplier", "nation", "region",
 ];
 
-/// The paper's 10 MB / small-setting ARM rig.
-fn arm_rig(ctx: &ExpCtx<'_>) -> Rig {
-    Rig::builder(EngineKind::Lite)
+/// The paper's 10 MB / small-setting ARM rig, recording every
+/// [`Rig::profile`] into the experiment's stats. `cfg` applies the §4.2
+/// co-design with that budget split; `None` is the unmodified engine.
+fn arm_rig(ctx: &ExpCtx<'_>, cfg: Option<DtcmConfig>) -> Rig {
+    let mut rig = Rig::builder(EngineKind::Lite)
         .arch(ArchKind::Arm)
         .knobs(KnobLevel::Small)
         .scale(TpchScale(ctx.cfg.arm_scale))
         .raw_knobs(Knobs::arm_small())
-        .build()
-}
-
-fn profile<F: FnMut(&mut Cpu, &engines::Plan) -> Vec<Row>>(
-    cpu: &mut Cpu,
-    plan: &engines::Plan,
-    mut run: F,
-) -> (Measurement, Vec<Row>) {
-    run(cpu, plan); // warm
-    let tok = cpu.begin_measure();
-    let rows = run(cpu, plan);
-    (cpu.end_measure(tok), rows)
+        .stats(ctx.stats_sink())
+        .build();
+    if let Some(cfg) = cfg {
+        dtcm::configure(&mut rig.cpu, &mut rig.db, &HOT_TABLES, cfg).expect("configure DTCM");
+    }
+    rig
 }
 
 fn canon(mut rows: Vec<Row>) -> Vec<String> {
@@ -94,15 +90,9 @@ impl Experiment for Fig13DtcmPoc {
         }
 
         // Per-query comparison (ARM, small knobs, reduced 10 MB stand-in).
-        let base = arm_rig(ctx);
-        let (mut base_cpu, mut base_db) = (base.cpu, base.db);
-
-        let opt = arm_rig(ctx);
-        let (mut opt_cpu, opt_base) = (opt.cpu, opt.db);
-        let mut opt_db =
-            DtcmDatabase::configure(&mut opt_cpu, opt_base, &HOT_TABLES, DtcmConfig::default())
-                .expect("configure DTCM");
-        let pins = opt_db.pinned_pages();
+        let mut base = arm_rig(ctx, None);
+        let mut opt = arm_rig(ctx, Some(DtcmConfig::default()));
+        let pins = opt.db.pool().pinned_pages();
 
         let mut t = TextTable::new([
             "Query",
@@ -114,13 +104,8 @@ impl Experiment for Fig13DtcmPoc {
         let (mut savings, mut perfs, mut rows_checked) = (Vec::new(), Vec::new(), 0usize);
         for q in TpchQuery::all() {
             let plan = q.plan();
-            let (m_base, r_base) = profile(&mut base_cpu, &plan, |c, p| {
-                base_db.session().run(c, p).expect("base")
-            });
-            let (m_opt, r_opt) =
-                profile(&mut opt_cpu, &plan, |c, p| opt_db.run(c, p).expect("dtcm"));
-            ctx.record(&m_base);
-            ctx.record(&m_opt);
+            let (m_base, r_base) = base.profile(&plan);
+            let (m_opt, r_opt) = opt.profile(&plan);
             assert_eq!(canon(r_base), canon(r_opt), "{} results diverged", q.name());
             rows_checked += 1;
             let saving = (1.0 - m_opt.rapl.total_j() / m_base.rapl.total_j()) * 100.0;
@@ -260,39 +245,14 @@ impl Experiment for AblationDtcm {
     }
 
     fn run_shard(&self, shard: usize, ctx: &ExpCtx<'_>) -> Box<dyn Any + Send> {
-        let vs = variants();
-        let v = &vs[shard];
-        let rig = arm_rig(ctx);
-        let (mut cpu, db) = (rig.cpu, rig.db);
-        cpu.set_itcm_fetch_discount(v.itcm);
-
+        let v = &variants()[shard];
+        let mut rig = arm_rig(ctx, v.cfg);
+        rig.cpu.set_itcm_fetch_discount(v.itcm);
         let (mut e, mut t) = (0.0, 0.0);
-        let mut measure_suite = |cpu: &mut Cpu, run: &mut dyn FnMut(&mut Cpu, &engines::Plan)| {
-            for q in TpchQuery::all() {
-                let plan = q.plan();
-                run(cpu, &plan); // warm
-                let tok = cpu.begin_measure();
-                run(cpu, &plan);
-                let m = cpu.end_measure(tok);
-                ctx.record(&m);
-                e += m.rapl.total_j();
-                t += m.time_s;
-            }
-        };
-        match &v.cfg {
-            None => {
-                let mut db = db;
-                measure_suite(&mut cpu, &mut |c, p| {
-                    db.session().run(c, p).expect("query");
-                });
-            }
-            Some(cfg) => {
-                let mut d =
-                    DtcmDatabase::configure(&mut cpu, db, &HOT_TABLES, *cfg).expect("configure");
-                measure_suite(&mut cpu, &mut |c, p| {
-                    d.run(c, p).expect("query");
-                });
-            }
+        for q in TpchQuery::all() {
+            let (m, _) = rig.profile(&q.plan());
+            e += m.rapl.total_j();
+            t += m.time_s;
         }
         let pair: (f64, f64) = (e, t);
         Box::new(pair)

@@ -61,7 +61,7 @@ impl Sec5DvfsTradeoff {
             .pstate(ps)
             .stats(ctx.stats_sink())
             .build();
-        let m = rig.profile(&op.plan());
+        let (m, _) = rig.profile(&op.plan());
         Outcome {
             time_s: m.time_s,
             active_j: active_energy(&m, &table.background).active_j,
@@ -167,7 +167,7 @@ impl Experiment for ExtCustomDvfs {
                 _ => advisor.recommend(&plan, profile),
             };
             rig.cpu.set_pstate(ps);
-            let m = rig.profile(&plan);
+            let (m, _) = rig.profile(&plan);
             let table = if ps == PState::P36 { &t36 } else { &t24 };
             time += m.time_s;
             energy += active_energy(&m, &table.background).active_j;

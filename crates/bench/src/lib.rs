@@ -15,6 +15,7 @@ use analysis::{Breakdown, EnergyTable};
 use engines::{Database, EngineKind, KnobLevel, Knobs, Plan};
 use mjrt::StatsSink;
 use simcore::{ArchConfig, ArchKind, Cpu, Measurement, PState};
+use storage::Row;
 use workloads::{build_tpch_db, TpchScale};
 
 pub mod experiments;
@@ -28,16 +29,15 @@ pub struct Rig {
     stats: Option<StatsSink>,
 }
 
-/// Builder for a [`Rig`]: engine, knobs, scale, operating point, prefetcher
-/// and architecture, each defaulting to the paper's trunk configuration
-/// (§3: x86, prefetcher on, baseline knobs/scale, P-state pinned).
+/// Builder for a [`Rig`]: knobs, scale, operating point and architecture,
+/// each defaulting to the paper's trunk configuration (§3: x86, baseline
+/// knobs/scale, P-state pinned). The prefetcher stays on, as in the trunk.
 #[derive(Clone)]
 pub struct RigBuilder {
     engine: EngineKind,
     level: KnobLevel,
     scale: TpchScale,
     ps: Option<PState>,
-    prefetch: bool,
     arch: ArchKind,
     raw_knobs: Option<Knobs>,
     stats: Option<StatsSink>,
@@ -51,43 +51,38 @@ impl Rig {
             level: KnobLevel::Baseline,
             scale: TpchScale::baseline(),
             ps: None,
-            prefetch: true,
             arch: ArchKind::X86,
             raw_knobs: None,
             stats: None,
         }
     }
 
-    /// Run `plan` once to warm caches/pool, then measure one run.
-    pub fn profile(&mut self, plan: &Plan) -> Measurement {
+    /// Run `plan` once to warm caches/pool, then measure one run; returns
+    /// the measurement and the measured run's rows.
+    pub fn profile(&mut self, plan: &Plan) -> (Measurement, Vec<Row>) {
         self.db
             .session()
             .run(&mut self.cpu, plan)
             .expect("warm run");
         let db = &mut self.db;
+        let mut rows = Vec::new();
         let m = self.cpu.measure(|c| {
-            db.session().run(c, plan).expect("measured run");
+            rows = db.session().run(c, plan).expect("measured run");
         });
         if let Some(s) = &self.stats {
             s.lock().expect("stats sink poisoned").add(&m);
         }
-        m
+        (m, rows)
     }
 
     /// Profile and break down against a calibration table.
     pub fn breakdown(&mut self, table: &EnergyTable, plan: &Plan) -> Breakdown {
-        let m = self.profile(plan);
+        let (m, _) = self.profile(plan);
         table.breakdown(&m)
     }
 }
 
 impl RigBuilder {
-    /// Switch the engine personality.
-    pub fn engine(mut self, engine: EngineKind) -> RigBuilder {
-        self.engine = engine;
-        self
-    }
-
     /// Knob level (Table 4 small / baseline / large).
     pub fn knobs(mut self, level: KnobLevel) -> RigBuilder {
         self.level = level;
@@ -104,12 +99,6 @@ impl RigBuilder {
     /// its architecture default (the ARM rigs rely on this).
     pub fn pstate(mut self, ps: PState) -> RigBuilder {
         self.ps = Some(ps);
-        self
-    }
-
-    /// Hardware prefetcher state (on by default, as in the paper's trunk).
-    pub fn prefetch(mut self, on: bool) -> RigBuilder {
-        self.prefetch = on;
         self
     }
 
@@ -140,7 +129,6 @@ impl RigBuilder {
             ArchKind::Arm => ArchConfig::arm1176jzf_s(),
         };
         let mut cpu = Cpu::new(cfg);
-        cpu.set_prefetch(self.prefetch);
         if let Some(ps) = self.ps {
             cpu.set_governor(false);
             cpu.set_pstate(ps);

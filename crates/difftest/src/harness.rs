@@ -2,7 +2,7 @@
 //! with canonical digests + invariant checks.
 
 use analysis::EnergyTable;
-use engines::{DtcmConfig, DtcmDatabase, EngineKind, Knobs, Plan};
+use engines::{Database, DtcmConfig, EngineKind, Knobs, Plan};
 use simcore::{ArchConfig, ArchKind, Cpu};
 use storage::{Catalog, Row, Value};
 use workloads::tpch::gen::build_tpch_db;
@@ -74,17 +74,12 @@ impl Variant {
     }
 }
 
-enum Handle {
-    Plain(engines::Database),
-    Dtcm(DtcmDatabase),
-}
-
 /// A built engine variant: simulated CPU + loaded TPC-H database.
 pub struct Engine {
     /// Which variant this is.
     pub variant: Variant,
     cpu: Cpu,
-    handle: Handle,
+    db: Database,
 }
 
 /// One case's answer on one engine: sorted canonical row strings
@@ -129,59 +124,39 @@ impl Engine {
     /// set is directly comparable.
     pub fn build(variant: Variant) -> Engine {
         let scale = TpchScale::tiny();
-        match variant {
-            Variant::Pg | Variant::Lite | Variant::My | Variant::Vec => {
-                let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
-                cpu.set_prefetch(true);
-                let db = build_tpch_db(
-                    &mut cpu,
-                    variant.kind(),
-                    engines::KnobLevel::Baseline,
-                    scale,
-                )
-                .expect("tpch load");
-                Engine {
-                    variant,
-                    cpu,
-                    handle: Handle::Plain(db),
-                }
-            }
-            Variant::LiteDtcm => {
-                let mut cpu = Cpu::new(ArchConfig::arm1176jzf_s());
-                cpu.set_prefetch(true);
-                let mut db =
-                    build_tpch_db(&mut cpu, EngineKind::Lite, engines::KnobLevel::Small, scale)
-                        .expect("tpch load");
-                db.knobs = Knobs::arm_small();
-                let dtcm = DtcmDatabase::configure(&mut cpu, db, HOT_TABLES, DtcmConfig::default())
-                    .expect("dtcm configure");
-                Engine {
-                    variant,
-                    cpu,
-                    handle: Handle::Dtcm(dtcm),
-                }
-            }
+        let mut cpu = Cpu::new(match variant.arch() {
+            ArchKind::X86 => ArchConfig::intel_i7_4790(),
+            ArchKind::Arm => ArchConfig::arm1176jzf_s(),
+        });
+        cpu.set_prefetch(true);
+        // The co-design runs the paper's ARM setting: small knobs.
+        let dtcm = variant == Variant::LiteDtcm;
+        let level = if dtcm {
+            engines::KnobLevel::Small
+        } else {
+            engines::KnobLevel::Baseline
+        };
+        let mut db = build_tpch_db(&mut cpu, variant.kind(), level, scale).expect("tpch load");
+        if dtcm {
+            db.knobs = Knobs::arm_small();
+            engines::dtcm::configure(&mut cpu, &mut db, HOT_TABLES, DtcmConfig::default())
+                .expect("dtcm configure");
         }
+        Engine { variant, cpu, db }
     }
 
     /// The engine's catalog (identical across variants by construction).
     pub fn catalog(&self) -> &Catalog {
-        match &self.handle {
-            Handle::Plain(db) => db.catalog(),
-            Handle::Dtcm(d) => d.db.catalog(),
-        }
+        self.db.catalog()
     }
 
     /// Execute `plan` and return `(estimated, measured)` Active energy for
     /// the window — the raw pair behind the energy-model invariant, used by
     /// reporting and for grounding the invariant bounds.
     pub fn probe_energy(&mut self, plan: &Plan, table: &EnergyTable) -> (f64, f64) {
-        let handle = &mut self.handle;
+        let db = &mut self.db;
         let m = self.cpu.measure(|c| {
-            let _ = match handle {
-                Handle::Plain(db) => db.session().run(c, plan),
-                Handle::Dtcm(d) => d.run(c, plan),
-            };
+            let _ = db.session().run(c, plan);
         });
         invariants::energy_pair(table, &m)
     }
@@ -193,12 +168,9 @@ impl Engine {
     pub fn run_case(&mut self, plan: &Plan, table: Option<&EnergyTable>) -> CaseOutcome {
         let s0 = self.cpu.run_stats();
         let mut result: Option<storage::Result<Vec<Row>>> = None;
-        let handle = &mut self.handle;
+        let db = &mut self.db;
         let m = self.cpu.measure(|c| {
-            result = Some(match handle {
-                Handle::Plain(db) => db.session().run(c, plan),
-                Handle::Dtcm(d) => d.run(c, plan),
-            });
+            result = Some(db.session().run(c, plan));
         });
         let d = self.cpu.run_stats() - s0;
         let batched = d.batched_lines + d.replayed_lines;

@@ -7,7 +7,7 @@
 use crate::knobs::{KnobLevel, Knobs};
 use crate::profile::EngineKind;
 use crate::session::SessionCtx;
-use simcore::Cpu;
+use simcore::{Cpu, Region};
 use storage::{
     encode_row, BTree, BufferPool, Catalog, PageStore, Row, Schema, StorageError, Value,
 };
@@ -28,8 +28,10 @@ pub fn u64_to_tid(p: u64) -> storage::heap::TupleId {
 /// state (the reusable temp region) lives in [`SessionCtx`]; query
 /// execution goes through [`crate::session::Session`]. The storage fields
 /// are deliberately not `pub`: external code reads them through
-/// [`Database::store`] / [`Database::catalog`] and mutates the pool through
-/// [`Database::pool_mut`], so the set of mutation sites stays auditable.
+/// [`Database::store`] / [`Database::pool`] / [`Database::catalog`], so the
+/// set of mutation sites stays auditable. The §4.2 DTCM co-design
+/// ([`crate::dtcm::configure`]) is state here too: TCM pins in the pool and
+/// the special-variable region, both used by every session's row executor.
 pub struct Database {
     /// Which personality executes queries.
     pub kind: EngineKind,
@@ -37,8 +39,11 @@ pub struct Database {
     pub knobs: Knobs,
     /// The "database file".
     pub(crate) store: PageStore,
-    /// The buffer pool (sized by the buffer knob).
+    /// The buffer pool (sized by the buffer knob), with any DTCM pins.
     pub(crate) pool: BufferPool,
+    /// TCM region for the VM's special variables; `None` unless the DTCM
+    /// co-design gave them a budget.
+    pub(crate) hot_vars: Option<Region>,
     /// Tables and indexes.
     pub(crate) catalog: Catalog,
     /// Scratch state for the built-in default session
@@ -59,6 +64,7 @@ impl Database {
             knobs,
             store: PageStore::new(knobs.page_size),
             pool: BufferPool::new(knobs.buffer_bytes, knobs.page_size),
+            hot_vars: None,
             catalog: Catalog::new(),
             default_ctx: SessionCtx::new(),
         }
@@ -73,11 +79,6 @@ impl Database {
     /// The buffer pool.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Mutable buffer pool access (cache warm-up, DTCM pin setup).
-    pub fn pool_mut(&mut self) -> &mut BufferPool {
-        &mut self.pool
     }
 
     /// Tables and indexes.

@@ -1,7 +1,8 @@
 //! The §4 proof of concept: the Lite engine, system-level co-designed for
 //! an L1D-energy-efficient architecture with data TCM (ARM1176JZF-S-like).
 //!
-//! Three strategies from §4.2, with the paper's DTCM budget split:
+//! [`configure`] applies the three strategies of §4.2 to a loaded Lite
+//! [`Database`], with the paper's DTCM budget split:
 //!
 //! 1. **Database buffer (16 KB).** The hottest table pages (smallest tables
 //!    first — "more B-tree data of small tables are loaded into DTCM") are
@@ -12,20 +13,18 @@
 //! 3. **B-tree tops (12 KB).** The root and first layers of the queried
 //!    tables' B-trees are pinned, divided evenly across tables.
 //!
+//! The result is ordinary database state — the pins live in the buffer
+//! pool, the special-variable region on the [`Database`] — so the
+//! co-designed build runs through [`Database::session`] like any other.
 //! Pinning copies page bytes into the TCM window once at configuration time
 //! (setup, unsimulated — the paper's port does this at open time); queries
 //! are read-only, so no write-back path is needed.
 
 use crate::db::Database;
-use crate::executor::{self, Env};
-use crate::knobs::Knobs;
-use crate::plan::Plan;
-use crate::profile::{EngineKind, LITE};
-use simcore::{Cpu, Region};
-use std::collections::HashMap;
-use storage::buffer::{BufferPool, PageAccess};
-use storage::page::{PageId, PageRef};
-use storage::{PageStore, Row};
+use crate::profile::EngineKind;
+use simcore::Cpu;
+use storage::page::PageId;
+use storage::{BufferPool, PageStore};
 
 /// DTCM budget split (bytes), per §4.2.
 #[derive(Debug, Clone, Copy)]
@@ -48,170 +47,87 @@ impl Default for DtcmConfig {
     }
 }
 
-/// A buffer pool wrapper that serves pinned pages from TCM.
-pub struct TcmPool {
-    inner: BufferPool,
-    pinned: HashMap<PageId, u64>,
-    /// Pages served from TCM so far (diagnostic).
-    pub tcm_hits: u64,
-}
+/// Apply the §4.2 co-design to a loaded Lite database: install a fresh
+/// buffer pool (sized by `db.knobs`) carrying the TCM pins, and the
+/// special-variable region.
+///
+/// `hot_tables` lists the tables the workload queries (the paper pins
+/// "the current tables"); budgets are divided evenly across them.
+///
+/// # Panics
+/// Panics if `db` is not a Lite instance (the paper optimises SQLite).
+pub fn configure(
+    cpu: &mut Cpu,
+    db: &mut Database,
+    hot_tables: &[&str],
+    config: DtcmConfig,
+) -> storage::Result<()> {
+    assert_eq!(
+        db.kind,
+        EngineKind::Lite,
+        "the proof of concept optimises the Lite engine"
+    );
+    let page_size = db.store.page_size() as u64;
+    let mut pool = BufferPool::new(db.knobs.buffer_bytes, db.store.page_size());
 
-impl TcmPool {
-    /// Wrap a pool with a pin map (page id → TCM address).
-    pub fn new(inner: BufferPool, pinned: HashMap<PageId, u64>) -> TcmPool {
-        TcmPool {
-            inner,
-            pinned,
-            tcm_hits: 0,
-        }
-    }
-}
+    // (2) Special variables: hot VM registers/cursors in DTCM.
+    let hot_vars = if config.vars_bytes > 0 {
+        Some(cpu.alloc_tcm(config.vars_bytes)?)
+    } else {
+        None
+    };
 
-impl PageAccess for TcmPool {
-    fn access(&mut self, cpu: &mut Cpu, store: &PageStore, id: PageId) -> PageRef {
-        if let Some(&tcm_addr) = self.pinned.get(&id) {
-            self.tcm_hits += 1;
-            return PageRef {
-                addr: tcm_addr,
-                size: store.page_size(),
-            };
-        }
-        self.inner.access(cpu, store, id)
-    }
-}
-
-/// A Lite database co-designed for the TCM architecture.
-pub struct DtcmDatabase {
-    /// The underlying (Lite) database.
-    pub db: Database,
-    /// TCM-aware page residency.
-    pub pool: TcmPool,
-    /// TCM region for the VM's special variables (absent when the budget
-    /// assigns it zero bytes).
-    pub scratch: Option<Region>,
-    /// Budget split used.
-    pub config: DtcmConfig,
-}
-
-impl DtcmDatabase {
-    /// Apply the §4.2 co-design to a loaded Lite database.
-    ///
-    /// `hot_tables` lists the tables the workload queries (the paper pins
-    /// "the current tables"); budgets are divided evenly across them.
-    ///
-    /// # Panics
-    /// Panics if `db` is not a Lite instance (the paper optimises SQLite).
-    pub fn configure(
-        cpu: &mut Cpu,
-        db: Database,
-        hot_tables: &[&str],
-        config: DtcmConfig,
-    ) -> storage::Result<DtcmDatabase> {
-        assert_eq!(
-            db.kind,
-            EngineKind::Lite,
-            "the proof of concept optimises the Lite engine"
-        );
-        let page_size = db.store.page_size() as u64;
-        let mut pinned: HashMap<PageId, u64> = HashMap::new();
-
-        // (2) Special variables: hot VM registers/cursors in DTCM.
-        let scratch = if config.vars_bytes > 0 {
-            Some(cpu.alloc_tcm(config.vars_bytes)?)
-        } else {
-            None
-        };
-
-        // (3) B-tree tops: divide the budget evenly across queried tables,
-        // breadth-first from each root.
-        if !hot_tables.is_empty() {
-            let per_table_pages = (config.btree_bytes / page_size) / hot_tables.len() as u64;
-            for name in hot_tables {
-                let t = db.catalog.table(name)?;
-                let Some(tree) = &t.pk_index else { continue };
-                let tops = tree.top_pages(cpu, &db.store, 3);
-                for pid in tops.into_iter().take(per_table_pages.max(1) as usize) {
-                    if pinned.contains_key(&pid) {
-                        continue;
-                    }
-                    if let Ok(region) = cpu.alloc_tcm(page_size) {
-                        copy_page_to_tcm(cpu, &db.store, pid, region.addr, page_size);
-                        pinned.insert(pid, region.addr);
-                    }
-                }
-            }
-        }
-
-        // (1) Database buffer: pin hot data pages, smallest tables first.
-        let mut tables: Vec<&str> = hot_tables.to_vec();
-        tables.sort_by_key(|n| {
-            db.catalog
-                .table(n)
-                .map(|t| t.heap.len())
-                .unwrap_or(u64::MAX)
-        });
-        let mut budget = config.buffer_bytes;
-        'outer: for name in tables {
+    // (3) B-tree tops: divide the budget evenly across queried tables,
+    // breadth-first from each root.
+    if !hot_tables.is_empty() {
+        let per_table_pages = (config.btree_bytes / page_size) / hot_tables.len() as u64;
+        for name in hot_tables {
             let t = db.catalog.table(name)?;
-            // Pin the table's heap pages, plus leaf pages of tiny B-trees.
-            for pid in heap_page_ids(t) {
-                if budget < page_size {
-                    break 'outer;
-                }
-                if pinned.contains_key(&pid) {
+            let Some(tree) = &t.pk_index else { continue };
+            let tops = tree.top_pages(cpu, &db.store, 3);
+            for pid in tops.into_iter().take(per_table_pages.max(1) as usize) {
+                if pool.is_pinned(pid) {
                     continue;
                 }
-                let Ok(region) = cpu.alloc_tcm(page_size) else {
-                    break 'outer;
-                };
-                copy_page_to_tcm(cpu, &db.store, pid, region.addr, page_size);
-                pinned.insert(pid, region.addr);
-                budget -= page_size;
+                if let Ok(region) = cpu.alloc_tcm(page_size) {
+                    copy_page_to_tcm(cpu, &db.store, pid, region.addr, page_size);
+                    pool.pin(pid, region.addr);
+                }
             }
         }
-
-        let pool = TcmPool::new(
-            BufferPool::new(db.knobs.buffer_bytes, db.store.page_size()),
-            pinned,
-        );
-        Ok(DtcmDatabase {
-            db,
-            pool,
-            scratch,
-            config,
-        })
     }
 
-    /// Execute a plan through the Lite personality with the TCM pins active.
-    pub fn run(&mut self, cpu: &mut Cpu, plan: &Plan) -> storage::Result<Vec<Row>> {
-        let db = &mut self.db;
-        let (store, catalog, work_mem) = (&db.store, &db.catalog, db.knobs.work_mem);
-        let (pool, hot_vars) = (&mut self.pool, self.scratch);
-        db.default_ctx.with_scratch(cpu, work_mem, |cpu, temp| {
-            let mut env = Env::new(
-                cpu,
-                store,
-                pool,
-                catalog,
-                &LITE,
-                work_mem,
-                hot_vars,
-                Some(temp),
-            )?;
-            executor::run(cpu, &mut env, plan)
-        })
+    // (1) Database buffer: pin hot data pages, smallest tables first.
+    let mut tables: Vec<&str> = hot_tables.to_vec();
+    tables.sort_by_key(|n| {
+        db.catalog
+            .table(n)
+            .map(|t| t.heap.len())
+            .unwrap_or(u64::MAX)
+    });
+    let mut budget = config.buffer_bytes;
+    'outer: for name in tables {
+        let t = db.catalog.table(name)?;
+        // Pin the table's heap pages, plus leaf pages of tiny B-trees.
+        for pid in heap_page_ids(t) {
+            if budget < page_size {
+                break 'outer;
+            }
+            if pool.is_pinned(pid) {
+                continue;
+            }
+            let Ok(region) = cpu.alloc_tcm(page_size) else {
+                break 'outer;
+            };
+            copy_page_to_tcm(cpu, &db.store, pid, region.addr, page_size);
+            pool.pin(pid, region.addr);
+            budget -= page_size;
+        }
     }
 
-    /// Number of pages pinned in DTCM.
-    pub fn pinned_pages(&self) -> usize {
-        self.pool.pinned.len()
-    }
-}
-
-/// Build an un-optimised baseline with identical storage for A/B comparison
-/// (§4.3 compares "whether SQLite uses DTCM on ARM", not across machines).
-pub fn baseline_lite(knobs: Knobs) -> Database {
-    Database::with_knobs(EngineKind::Lite, knobs)
+    db.pool = pool;
+    db.hot_vars = hot_vars;
+    Ok(())
 }
 
 fn heap_page_ids(t: &storage::TableInfo) -> Vec<PageId> {
@@ -232,11 +148,13 @@ fn copy_page_to_tcm(cpu: &mut Cpu, store: &PageStore, pid: PageId, tcm_addr: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::Knobs;
+    use crate::plan::Plan;
     use simcore::{ArchConfig, Event};
-    use storage::{Schema, Ty, Value};
+    use storage::{Row, Schema, Ty, Value};
 
     fn arm_db(cpu: &mut Cpu) -> Database {
-        let mut db = baseline_lite(Knobs::arm_small());
+        let mut db = Database::with_knobs(EngineKind::Lite, Knobs::arm_small());
         db.create_table(
             "t",
             Schema::new([("k", Ty::Int), ("v", Ty::Int)]),
@@ -247,6 +165,13 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Int(i * 2)])
             .collect();
         db.load_rows(cpu, "t", rows).unwrap();
+        db
+    }
+
+    /// [`arm_db`] with the default co-design applied.
+    fn dtcm_db(cpu: &mut Cpu) -> Database {
+        let mut db = arm_db(cpu);
+        configure(cpu, &mut db, &["t"], DtcmConfig::default()).unwrap();
         db
     }
 
@@ -265,32 +190,38 @@ mod tests {
         let want = base.session().run(&mut cpu1, &plan).unwrap();
 
         let mut cpu2 = Cpu::new(ArchConfig::arm1176jzf_s());
-        let db = arm_db(&mut cpu2);
-        let mut dtcm =
-            DtcmDatabase::configure(&mut cpu2, db, &["t"], DtcmConfig::default()).unwrap();
-        let got = dtcm.run(&mut cpu2, &plan).unwrap();
+        let mut dtcm = dtcm_db(&mut cpu2);
+        let got = dtcm.session().run(&mut cpu2, &plan).unwrap();
         assert_eq!(want, got);
-        assert!(dtcm.pinned_pages() > 0);
+        assert!(dtcm.pool().pinned_pages() > 0);
     }
 
     #[test]
     fn dtcm_run_issues_tcm_loads() {
         let plan = Plan::scan("t");
         let mut cpu = Cpu::new(ArchConfig::arm1176jzf_s());
-        let db = arm_db(&mut cpu);
-        let mut dtcm =
-            DtcmDatabase::configure(&mut cpu, db, &["t"], DtcmConfig::default()).unwrap();
-        let m = cpu.measure(|c| {
-            dtcm.run(c, &plan).unwrap();
-        });
-        assert!(
-            m.pmu.get(Event::TcmLoad) > 0,
-            "pinned pages must be read from TCM"
-        );
-        assert!(
-            m.pmu.get(Event::TcmStore) > 0,
-            "scratch ring must live in TCM"
-        );
+        let mut dtcm = dtcm_db(&mut cpu);
+        // The default session and a caller-owned one both carry the pins
+        // and the special-variable region.
+        let mut ctx = crate::session::SessionCtx::new();
+        for own_ctx in [false, true] {
+            let m = cpu.measure(|c| {
+                let mut s = if own_ctx {
+                    dtcm.session_in(&mut ctx)
+                } else {
+                    dtcm.session()
+                };
+                s.run(c, &plan).unwrap();
+            });
+            assert!(
+                m.pmu.get(Event::TcmLoad) > 0,
+                "pinned pages must be read from TCM"
+            );
+            assert!(
+                m.pmu.get(Event::TcmStore) > 0,
+                "scratch ring must live in TCM"
+            );
+        }
     }
 
     #[test]
@@ -306,12 +237,10 @@ mod tests {
         });
 
         let mut cpu2 = Cpu::new(ArchConfig::arm1176jzf_s());
-        let db = arm_db(&mut cpu2);
-        let mut dtcm =
-            DtcmDatabase::configure(&mut cpu2, db, &["t"], DtcmConfig::default()).unwrap();
-        dtcm.run(&mut cpu2, &plan).unwrap(); // warm
+        let mut dtcm = dtcm_db(&mut cpu2);
+        dtcm.session().run(&mut cpu2, &plan).unwrap(); // warm
         let m_dtcm = cpu2.measure(|c| {
-            dtcm.run(c, &plan).unwrap();
+            dtcm.session().run(c, &plan).unwrap();
         });
 
         let e_base = m_base.rapl.total_j();

@@ -20,17 +20,17 @@ use crate::plan::Plan;
 use crate::profile::Profile;
 use simcore::{Cpu, Dep, ExecOp, Region};
 use std::collections::hash_map::{Entry, HashMap};
-use storage::buffer::{BufferPool, PageAccess};
+use storage::buffer::BufferPool;
 use storage::catalog::TableInfo;
 use storage::expr::AggState;
 use storage::{AggSpec, BTree, Catalog, Expr, PageStore, Row, Value};
 
 /// Per-query execution environment.
-pub struct Env<'a, P: PageAccess> {
+pub struct Env<'a> {
     /// The database file.
     pub store: &'a PageStore,
-    /// Page residency provider (plain pool, or the DTCM pin-map wrapper).
-    pub pool: &'a mut P,
+    /// Page residency, with the DTCM pins when the co-design is configured.
+    pub pool: &'a mut BufferPool,
     /// Catalog.
     pub catalog: &'a Catalog,
     /// Engine personality.
@@ -48,7 +48,7 @@ pub struct Env<'a, P: PageAccess> {
 /// Size of the executor's scratch "register file" ring.
 pub const SCRATCH_BYTES: u64 = 8 * 1024;
 
-impl<'a, P: PageAccess> Env<'a, P> {
+impl<'a> Env<'a> {
     /// Build an environment. `hot_vars` points the hottest VM state at a TCM
     /// region (the DTCM build, §4.2 "special variables"); `temp` is the
     /// session's reusable scratch region for sort runs and hash tables.
@@ -56,13 +56,13 @@ impl<'a, P: PageAccess> Env<'a, P> {
     pub fn new(
         cpu: &mut Cpu,
         store: &'a PageStore,
-        pool: &'a mut P,
+        pool: &'a mut BufferPool,
         catalog: &'a Catalog,
         profile: &'a Profile,
         work_mem: u64,
         hot_vars: Option<Region>,
         temp: Option<Region>,
-    ) -> storage::Result<Env<'a, P>> {
+    ) -> storage::Result<Env<'a>> {
         let scratch = cpu.alloc(SCRATCH_BYTES)?;
         Ok(Env {
             store,
@@ -166,11 +166,7 @@ pub fn span_name(plan: &Plan, profile: &Profile) -> String {
 /// of its plan tree with per-operator simulated time, cycles and energy.
 /// Span capture only snapshots counters — it never advances the simulated
 /// machine — so tracing cannot change measured results.
-pub fn run<P: PageAccess>(
-    cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
-    plan: &Plan,
-) -> storage::Result<Vec<Row>> {
+pub fn run(cpu: &mut Cpu, env: &mut Env<'_>, plan: &Plan) -> storage::Result<Vec<Row>> {
     mjobs::span::enter(cpu, || span_name(plan, env.profile));
     let rows = run_op(cpu, env, plan);
     if let Ok(r) = &rows {
@@ -181,11 +177,7 @@ pub fn run<P: PageAccess>(
 }
 
 /// Operator dispatch (the body of [`run`], outside its trace span).
-fn run_op<P: PageAccess>(
-    cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
-    plan: &Plan,
-) -> storage::Result<Vec<Row>> {
+fn run_op(cpu: &mut Cpu, env: &mut Env<'_>, plan: &Plan) -> storage::Result<Vec<Row>> {
     match plan {
         Plan::Scan {
             table,
@@ -246,9 +238,9 @@ fn run_op<P: PageAccess>(
 
 /// Fetch + decode one heap row, charging per-row personality costs.
 /// Returns `None` for tombstoned (dead) tuples.
-fn fetch_row<P: PageAccess>(
+fn fetch_row(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     t: &TableInfo,
     tid: storage::heap::TupleId,
     dep: Dep,
@@ -279,9 +271,9 @@ fn fetch_row<P: PageAccess>(
 }
 
 /// Apply per-row overhead + filter + projection; push survivors.
-fn emit<P: PageAccess>(
+fn emit(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     row: Row,
     filter: &Option<Expr>,
     project: &Option<Vec<Expr>>,
@@ -297,9 +289,9 @@ fn emit<P: PageAccess>(
 }
 
 /// Concatenate a join's two sides, charge the materialization, and emit.
-fn emit_joined<P: PageAccess>(
+fn emit_joined(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     lrow: &Row,
     rrow: impl IntoIterator<Item = Value>,
     filter: &Option<Expr>,
@@ -312,9 +304,9 @@ fn emit_joined<P: PageAccess>(
     emit(cpu, env, row, filter, project, out);
 }
 
-fn scan<P: PageAccess>(
+fn scan(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     table: &str,
     filter: &Option<Expr>,
     project: &Option<Vec<Expr>>,
@@ -348,9 +340,9 @@ fn scan<P: PageAccess>(
 /// `secondary_via_pk` pay an extra clustered-tree descent (the
 /// SQLite-rowid / InnoDB-PK double lookup); the payload itself carries the
 /// tuple id so results stay exact even for non-unique cluster keys.
-fn fetch_via_index<P: PageAccess>(
+fn fetch_via_index(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     t: &TableInfo,
     payload: u64,
     is_pk_index: bool,
@@ -367,9 +359,9 @@ fn fetch_via_index<P: PageAccess>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn index_range<P: PageAccess>(
+fn index_range(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     table: &str,
     col: &str,
     lo: Option<i64>,
@@ -401,9 +393,9 @@ fn index_range<P: PageAccess>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn hash_join<P: PageAccess>(
+fn hash_join(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     left: &Plan,
     right: &Plan,
     left_col: usize,
@@ -446,9 +438,9 @@ fn as_indexable<'c>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn index_nl_join<P: PageAccess>(
+fn index_nl_join(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     left: &Plan,
     right: &Plan,
     left_col: usize,
@@ -532,9 +524,9 @@ fn auto_index_key(v: &Value) -> i64 {
     ops::int_key(v).unwrap_or_else(|| v.hash64() as i64)
 }
 
-fn aggregate<P: PageAccess>(
+fn aggregate(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     input: &Plan,
     group_by: &[usize],
     aggs: &[AggSpec],
@@ -565,9 +557,9 @@ fn aggregate<P: PageAccess>(
 /// Lite: ephemeral B-tree keyed by the group key (SQLite's transient index
 /// for GROUP BY). With few groups the tree stays one or two L1D-resident
 /// nodes, so grouping is load/store-dominated, not movement-dominated.
-fn tree_aggregate<P: PageAccess>(
+fn tree_aggregate(
     cpu: &mut Cpu,
-    env: &mut Env<'_, P>,
+    env: &mut Env<'_>,
     rows: &[Row],
     group_by: &[usize],
     aggs: &[AggSpec],

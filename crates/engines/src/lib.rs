@@ -46,7 +46,7 @@ pub mod session;
 pub use advisor::DvfsAdvisor;
 pub use db::Database;
 pub use dml::Dml;
-pub use dtcm::{DtcmConfig, DtcmDatabase};
+pub use dtcm::DtcmConfig;
 pub use knobs::{KnobLevel, Knobs};
 pub use optimizer::optimize;
 pub use plan::Plan;

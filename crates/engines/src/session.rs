@@ -104,6 +104,7 @@ pub struct Session<'a> {
     pub(crate) store: &'a mut PageStore,
     pub(crate) pool: &'a mut BufferPool,
     pub(crate) catalog: &'a mut Catalog,
+    hot_vars: Option<Region>,
     ctx: &'a mut SessionCtx,
 }
 
@@ -120,6 +121,7 @@ impl Database {
             store: &mut self.store,
             pool: &mut self.pool,
             catalog: &mut self.catalog,
+            hot_vars: self.hot_vars,
             ctx: &mut self.default_ctx,
         }
     }
@@ -136,6 +138,7 @@ impl Database {
             store: &mut self.store,
             pool: &mut self.pool,
             catalog: &mut self.catalog,
+            hot_vars: self.hot_vars,
             ctx,
         }
     }
@@ -178,6 +181,7 @@ impl<'a> Session<'a> {
         }
         let work_mem = self.knobs.work_mem;
         let (store, pool, catalog) = (&*self.store, &mut *self.pool, &*self.catalog);
+        let hot_vars = self.hot_vars;
         self.ctx.with_scratch(cpu, work_mem, |cpu, temp| {
             if profile.vectorized {
                 let mut env = BatchEnv::new(cpu, catalog, profile, work_mem, Some(temp))?;
@@ -190,7 +194,7 @@ impl<'a> Session<'a> {
                     catalog,
                     profile,
                     work_mem,
-                    None,
+                    hot_vars,
                     Some(temp),
                 )?;
                 executor::run(cpu, &mut env, plan)

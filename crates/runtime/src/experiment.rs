@@ -68,7 +68,8 @@ impl fmt::Write for Report {
     }
 }
 
-/// Simulated-cost counters accumulated per experiment (via [`ExpCtx::record`]).
+/// Simulated-cost counters accumulated per shard (via [`ExpCtx::record`])
+/// and summed per experiment.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimStats {
     /// Measurement windows recorded.
@@ -89,13 +90,24 @@ impl SimStats {
         self.cycles += m.cycles;
         self.energy_j += m.rapl.total_j();
     }
+
+    /// Add another accumulator's totals.
+    pub fn merge(&mut self, other: &SimStats) {
+        self.measurements += other.measurements;
+        self.time_s += other.time_s;
+        self.cycles += other.cycles;
+        self.energy_j += other.energy_j;
+    }
 }
 
-/// Shared per-experiment stats accumulator (cloned into every shard's ctx).
+/// A shard's stats accumulator (rigs that record their own measurements
+/// hold clones). The scheduler gives every shard a fresh one and sums them
+/// in shard order, so an experiment's f64 totals do not depend on which
+/// shard finished first.
 pub type StatsSink = Arc<Mutex<SimStats>>;
 
 /// Everything a shard needs: the harness config, the shared calibration
-/// cache, the per-experiment stats sink and the per-run CSV directory.
+/// cache, the shard's stats sink and the per-run CSV directory.
 pub struct ExpCtx<'a> {
     /// The run's typed configuration.
     pub cfg: &'a HarnessConfig,
@@ -130,7 +142,7 @@ impl<'a> ExpCtx<'a> {
         self.table(ArchKind::X86, ps)
     }
 
-    /// Record a measurement window into the experiment's stats.
+    /// Record a measurement window into the shard's stats.
     pub fn record(&self, m: &Measurement) {
         self.stats.lock().expect("stats sink poisoned").add(m);
     }

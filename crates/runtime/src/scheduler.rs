@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use analysis::report::TextTable;
@@ -102,6 +102,8 @@ struct ShardDone {
     spans: Vec<SpanRecord>,
     /// Host wall-clock the shard took, for the trace shard header.
     host_us: u64,
+    /// Simulated cost the shard recorded.
+    sim: SimStats,
 }
 
 struct Board {
@@ -148,7 +150,6 @@ pub fn run_suite(
     let cal = CalibrationCache::new();
     let run_dir = make_run_dir(cfg);
     let csv_dir = if cfg.csv { run_dir.clone() } else { None };
-    let stats: Vec<StatsSink> = selected.iter().map(|_| StatsSink::default()).collect();
     let shard_counts: Vec<usize> = selected.iter().map(|e| e.shards(cfg).max(1)).collect();
 
     let board = Board {
@@ -180,7 +181,7 @@ pub fn run_suite(
     std::thread::scope(|scope| -> std::io::Result<()> {
         for _ in 0..jobs {
             scope.spawn(|| {
-                worker(&board, &selected, cfg, &cal, &stats, csv_dir.as_deref());
+                worker(&board, &selected, cfg, &cal, csv_dir.as_deref());
             });
         }
 
@@ -197,8 +198,10 @@ pub fn run_suite(
 
             let mut error = None;
             let mut shards = Vec::with_capacity(shard_outs.len());
+            let mut sim = SimStats::default();
             for (s, r) in shard_outs.into_iter().enumerate() {
                 let done = r.expect("taken above");
+                sim.merge(&done.sim);
                 if cfg.trace {
                     trace_runs.push((i, s, done.host_us, done.spans));
                 }
@@ -220,13 +223,9 @@ pub fn run_suite(
                 "########################################################"
             )?;
             let t_assemble = Instant::now();
+            let stats = StatsSink::new(Mutex::new(sim));
             if error.is_none() {
-                let ctx = ExpCtx::new(
-                    cfg,
-                    &cal,
-                    std::sync::Arc::clone(&stats[i]),
-                    csv_dir.as_deref(),
-                );
+                let ctx = ExpCtx::new(cfg, &cal, Arc::clone(&stats), csv_dir.as_deref());
                 match catch_unwind(AssertUnwindSafe(|| exp.assemble(shards, &ctx))) {
                     Ok(report) => {
                         out.write_all(report.text.as_bytes())?;
@@ -244,7 +243,7 @@ pub fn run_suite(
             out.flush()?;
 
             let host = board.host.lock().expect("host poisoned")[i] + t_assemble.elapsed();
-            let sim = *stats[i].lock().expect("stats poisoned");
+            let sim = *stats.lock().expect("stats poisoned");
             mjobs::metrics::gauge_set(
                 &format!("exp.{}.host_ms", exp.name()),
                 host.as_secs_f64() * 1e3,
@@ -441,7 +440,6 @@ fn worker(
     selected: &[&dyn Experiment],
     cfg: &HarnessConfig,
     cal: &CalibrationCache,
-    stats: &[StatsSink],
     csv_dir: Option<&std::path::Path>,
 ) {
     loop {
@@ -452,7 +450,8 @@ fn worker(
             board.t0.elapsed().as_micros() as u64,
         );
         let exp = selected[task.exp];
-        let ctx = ExpCtx::new(cfg, cal, std::sync::Arc::clone(&stats[task.exp]), csv_dir);
+        let stats = StatsSink::default();
+        let ctx = ExpCtx::new(cfg, cal, Arc::clone(&stats), csv_dir);
         if cfg.trace {
             mjobs::span::install();
         }
@@ -476,6 +475,8 @@ fn worker(
             result,
             spans,
             host_us: elapsed.as_micros() as u64,
+            // Never panic here: the aggregator waits for this result.
+            sim: *stats.lock().unwrap_or_else(PoisonError::into_inner),
         });
         board.done.notify_all();
     }
@@ -649,6 +650,63 @@ mod tests {
         assert!(s_out.find("# beta").unwrap() < s_out.find("# gamma").unwrap());
         assert!(s_out.contains("alpha shard 0\nalpha shard 1\nalpha shard 2\n"));
         assert!(s_outcome.failures().is_empty() && p_outcome.failures().is_empty());
+    }
+
+    /// Shard `s` records one window of `TIMES[s]` simulated seconds. With
+    /// three or more workers the shards record in reverse order, forced by
+    /// a turn counter: float addition is not associative, so summing in
+    /// that order gives other bits than summing in shard order.
+    struct ReverseRecord {
+        turn: (Mutex<usize>, Condvar),
+    }
+
+    const TIMES: [f64; 3] = [0.1, 0.2, 0.3];
+
+    impl Experiment for ReverseRecord {
+        fn name(&self) -> &'static str {
+            "reverse_record"
+        }
+        fn shards(&self, _cfg: &HarnessConfig) -> usize {
+            TIMES.len()
+        }
+        fn run_shard(&self, shard: usize, ctx: &ExpCtx<'_>) -> Box<dyn Any + Send> {
+            let mut cpu = simcore::Cpu::new(simcore::ArchConfig::intel_i7_4790());
+            let mut m = cpu.measure(|_| {});
+            m.time_s = TIMES[shard];
+            let (turn, cv) = &self.turn;
+            let mut recorded = turn.lock().expect("turn");
+            if ctx.cfg.jobs >= TIMES.len() {
+                while *recorded < TIMES.len() - 1 - shard {
+                    recorded = cv.wait(recorded).expect("turn");
+                }
+            }
+            ctx.record(&m);
+            *recorded += 1;
+            cv.notify_all();
+            Box::new(())
+        }
+        fn assemble(&self, _shards: Vec<Box<dyn Any + Send>>, _ctx: &ExpCtx<'_>) -> Report {
+            Report::new()
+        }
+    }
+
+    #[test]
+    fn sim_stats_do_not_depend_on_the_order_shards_record_in() {
+        let sim_s = |jobs: usize| {
+            let e = ReverseRecord {
+                turn: (Mutex::new(0), Condvar::new()),
+            };
+            let cfg = HarnessConfig {
+                jobs,
+                ..HarnessConfig::default()
+            };
+            let (_, outcome) = run_to_string(&[&e], &cfg);
+            outcome.experiments[0].sim.time_s
+        };
+        let in_shard_order = (TIMES[0] + TIMES[1]) + TIMES[2];
+        assert_ne!(in_shard_order, (TIMES[2] + TIMES[1]) + TIMES[0]);
+        assert_eq!(sim_s(1).to_bits(), in_shard_order.to_bits());
+        assert_eq!(sim_s(3).to_bits(), in_shard_order.to_bits());
     }
 
     #[test]

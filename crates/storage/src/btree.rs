@@ -17,7 +17,7 @@
 //! Descents are pointer chases ([`Dep::Chase`]); within-leaf entry walks
 //! stream. Duplicate keys are allowed (secondary indexes need them).
 
-use crate::buffer::{PageAccess, PageStore};
+use crate::buffer::{BufferPool, PageStore};
 use crate::page::{touch_store, PageId};
 use simcore::{Cpu, Dep, ExecOp};
 
@@ -220,7 +220,7 @@ impl BTree {
         &self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         key: i64,
     ) -> (PageId, Vec<(PageId, u64)>) {
         let mut path = Vec::with_capacity(self.height as usize);
@@ -243,7 +243,7 @@ impl BTree {
         &mut self,
         cpu: &mut Cpu,
         store: &mut PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         key: i64,
         payload: u64,
     ) -> crate::Result<()> {
@@ -298,14 +298,13 @@ impl BTree {
         self.len += 1;
 
         // Propagate the separator upward.
-        self.insert_into_parent(cpu, store, pool, &mut path, sep, new_id)
+        self.insert_into_parent(cpu, store, &mut path, sep, new_id)
     }
 
     fn insert_into_parent(
         &mut self,
         cpu: &mut Cpu,
         store: &mut PageStore,
-        _pool: &mut impl PageAccess,
         path: &mut Vec<(PageId, u64)>,
         mut sep: i64,
         mut right: PageId,
@@ -384,7 +383,7 @@ impl BTree {
         &mut self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         key: i64,
         payload: u64,
     ) -> bool {
@@ -434,7 +433,7 @@ impl BTree {
         &self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         key: i64,
     ) -> Option<u64> {
         let mut cur = self.seek(cpu, store, pool, key);
@@ -449,7 +448,7 @@ impl BTree {
         &self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         key: i64,
     ) -> BTreeCursor {
         let (leaf, _) = self.descend(cpu, store, pool, key);
@@ -468,7 +467,7 @@ impl BTree {
         &self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
     ) -> BTreeCursor {
         self.seek(cpu, store, pool, i64::MIN)
     }
@@ -600,7 +599,7 @@ impl BTreeCursor {
         &mut self,
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
     ) -> Option<(i64, u64)> {
         loop {
             let pid = self.page?;
@@ -627,7 +626,6 @@ impl BTreeCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
     use simcore::ArchConfig;
 
     fn setup() -> (Cpu, PageStore, BufferPool) {
@@ -640,7 +638,7 @@ mod tests {
     fn drain(
         cpu: &mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         mut cur: BTreeCursor,
     ) -> Vec<(i64, u64)> {
         let mut out = Vec::new();

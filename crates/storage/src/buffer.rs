@@ -65,21 +65,16 @@ impl PageStore {
     }
 }
 
-/// Anything that can resolve a page id to an accessible [`PageRef`],
-/// charging whatever that residency costs.
+/// LRU buffer pool over a [`PageStore`], plus the DTCM pin map.
 ///
-/// [`BufferPool`] is the ordinary implementation; the DTCM proof of concept
-/// wraps a pool with a TCM pin-map so reads of pinned pages are serviced
-/// from tightly coupled memory (§4.2).
-pub trait PageAccess {
-    /// Ensure `id` is accessible and return its view.
-    fn access(&mut self, cpu: &mut Cpu, store: &PageStore, id: PageId) -> PageRef;
-}
-
-/// LRU buffer pool over a [`PageStore`].
+/// A pinned page (the §4.2 co-design copies it into tightly coupled memory
+/// once, at configuration time) is served from its TCM copy: it takes no
+/// pool frame and never pays a disk read. Pools start with no pins.
 pub struct BufferPool {
     capacity: usize,
     resident: HashMap<PageId, u64>,
+    /// Page id → address of its TCM copy.
+    pinned: HashMap<PageId, u64>,
     stamp: u64,
     charge_io: bool,
     /// Pages read from "disk" so far (diagnostic).
@@ -93,6 +88,7 @@ impl BufferPool {
         BufferPool {
             capacity,
             resident: HashMap::new(),
+            pinned: HashMap::new(),
             stamp: 0,
             charge_io: true,
             disk_reads: 0,
@@ -117,10 +113,32 @@ impl BufferPool {
         self.resident.contains_key(&id)
     }
 
-    /// Ensure `id` is resident and return its [`PageRef`]. Charges the
-    /// simulated disk read + copy on a miss. (Inherent method; also exposed
-    /// through [`PageAccess`].)
+    /// Serve page `id` from TCM at `tcm_addr` from now on, where the caller
+    /// has already copied it.
+    pub fn pin(&mut self, id: PageId, tcm_addr: u64) {
+        self.resident.remove(&id);
+        self.pinned.insert(id, tcm_addr);
+    }
+
+    /// Whether `id` is pinned in TCM.
+    pub fn is_pinned(&self, id: PageId) -> bool {
+        self.pinned.contains_key(&id)
+    }
+
+    /// Number of pages pinned in TCM.
+    pub fn pinned_pages(&self) -> usize {
+        self.pinned.len()
+    }
+
+    /// Return `id`'s [`PageRef`]: its TCM copy if pinned, else the page
+    /// made resident. Charges the simulated disk read + copy on a miss.
     pub fn access(&mut self, cpu: &mut Cpu, store: &PageStore, id: PageId) -> PageRef {
+        if let Some(&addr) = self.pinned.get(&id) {
+            return PageRef {
+                addr,
+                size: store.page_size(),
+            };
+        }
         self.stamp += 1;
         let page = store.page(id);
         if let Some(ts) = self.resident.get_mut(&id) {
@@ -142,12 +160,6 @@ impl BufferPool {
         }
         self.resident.insert(id, self.stamp);
         page
-    }
-}
-
-impl PageAccess for BufferPool {
-    fn access(&mut self, cpu: &mut Cpu, store: &PageStore, id: PageId) -> PageRef {
-        BufferPool::access(self, cpu, store, id)
     }
 }
 
@@ -200,6 +212,66 @@ mod tests {
         let d = cpu.pmu_snapshot().delta(&before);
         assert!(cpu.time_s() - t0 >= DISK_READ_S);
         assert_eq!(d.get(simcore::Event::StoreIssued), 4096 / 64);
+    }
+
+    /// A 4-frame pool on the ARM part, plus `n` fresh pages.
+    fn arm_setup(n: usize) -> (Cpu, PageStore, BufferPool, Vec<PageId>) {
+        let mut cpu = Cpu::new(ArchConfig::arm1176jzf_s());
+        let mut store = PageStore::new(4096);
+        let ids = (0..n)
+            .map(|_| store.alloc_page(&mut cpu).unwrap())
+            .collect();
+        (cpu, store, BufferPool::new(4 * 4096, 4096), ids)
+    }
+
+    #[test]
+    fn pinned_page_is_served_from_tcm_without_disk_read_or_frame() {
+        let (mut cpu, store, mut pool, ids) = arm_setup(1);
+        let tcm = cpu.alloc_tcm(4096).unwrap();
+        pool.pin(ids[0], tcm.addr);
+        let t0 = cpu.time_s();
+        let page = pool.access(&mut cpu, &store, ids[0]);
+        assert_eq!((page.addr, page.size), (tcm.addr, 4096));
+        assert_eq!(pool.disk_reads, 0, "a pinned page never reads disk");
+        assert_eq!(cpu.time_s(), t0, "and costs no simulated time");
+        assert!(!pool.is_resident(ids[0]), "and takes no pool frame");
+    }
+
+    #[test]
+    fn pins_leave_lru_eviction_of_unpinned_pages_unchanged() {
+        let (mut cpu, store, mut pool, ids) = arm_setup(7);
+        let tcm = cpu.alloc_tcm(4096).unwrap();
+        pool.pin(ids[6], tcm.addr);
+        // Fill the 4 frames, touching the pinned page in between: it must
+        // neither take a frame nor refresh anything in the LRU order.
+        for &id in &ids[..4] {
+            pool.access(&mut cpu, &store, id);
+            pool.access(&mut cpu, &store, ids[6]);
+        }
+        assert_eq!(pool.disk_reads, 4);
+        assert!(ids[..4].iter().all(|&id| pool.is_resident(id)));
+        // Two more misses evict the two least recently used pages.
+        pool.access(&mut cpu, &store, ids[4]);
+        pool.access(&mut cpu, &store, ids[5]);
+        assert_eq!(pool.disk_reads, 6);
+        assert!(!pool.is_resident(ids[0]) && !pool.is_resident(ids[1]));
+        assert!(ids[2..6].iter().all(|&id| pool.is_resident(id)));
+        pool.access(&mut cpu, &store, ids[0]);
+        assert_eq!(pool.disk_reads, 7, "an evicted page misses again");
+    }
+
+    #[test]
+    fn pinned_pages_counts_the_pins() {
+        let (mut cpu, store, mut pool, ids) = arm_setup(3);
+        assert_eq!(pool.pinned_pages(), 0, "pools start with no pins");
+        pool.access(&mut cpu, &store, ids[0]);
+        for &id in &ids {
+            let tcm = cpu.alloc_tcm(4096).unwrap();
+            pool.pin(id, tcm.addr);
+        }
+        assert_eq!(pool.pinned_pages(), 3);
+        assert!(ids.iter().all(|&id| pool.is_pinned(id)));
+        assert!(!pool.is_resident(ids[0]), "pinning frees the page's frame");
     }
 
     #[test]

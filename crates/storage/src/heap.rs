@@ -1,6 +1,6 @@
 //! Heap files: unordered tuple storage over a page list.
 
-use crate::buffer::{PageAccess, PageStore};
+use crate::buffer::{BufferPool, PageStore};
 use crate::page::PageId;
 use simcore::{Cpu, Dep};
 
@@ -45,7 +45,7 @@ impl HeapFile {
         &mut self,
         cpu: &mut Cpu,
         store: &mut PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         bytes: &[u8],
     ) -> crate::Result<TupleId> {
         if let Some(&last) = self.pages.last() {
@@ -122,7 +122,7 @@ impl HeapFile {
         &self,
         cpu: &'a mut Cpu,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
         tid: TupleId,
         dep: Dep,
     ) -> crate::Result<&'a [u8]> {
@@ -153,7 +153,7 @@ impl HeapCursor {
         cpu: &mut Cpu,
         heap: &HeapFile,
         store: &PageStore,
-        pool: &mut impl PageAccess,
+        pool: &mut BufferPool,
     ) -> crate::Result<Option<TupleId>> {
         loop {
             let Some(&pid) = heap.pages.get(self.page_idx) else {
@@ -183,7 +183,6 @@ impl HeapCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
     use simcore::ArchConfig;
 
     fn setup() -> (Cpu, PageStore, BufferPool) {

@@ -5,7 +5,7 @@
 //! cargo run --release --example dtcm_poc
 //! ```
 
-use engines::{DtcmConfig, DtcmDatabase};
+use engines::{dtcm, DtcmConfig};
 use microjoule::prelude::*;
 use workloads::tpch::gen::build_tpch_db;
 use workloads::TpchScale;
@@ -24,13 +24,12 @@ fn main() {
     // Co-designed: DB buffer + special variables + B-tree tops in DTCM.
     let mut opt_cpu = Cpu::new(ArchConfig::arm1176jzf_s());
     opt_cpu.set_prefetch(true);
-    let mut db = build_tpch_db(&mut opt_cpu, EngineKind::Lite, KnobLevel::Small, scale)
+    let mut opt = build_tpch_db(&mut opt_cpu, EngineKind::Lite, KnobLevel::Small, scale)
         .expect("load optimised");
-    db.knobs = engines::Knobs::arm_small();
+    opt.knobs = engines::Knobs::arm_small();
     let hot = ["lineitem", "orders", "customer", "nation", "region"];
-    let mut opt = DtcmDatabase::configure(&mut opt_cpu, db, &hot, DtcmConfig::default())
-        .expect("configure DTCM");
-    println!("pinned {} pages in DTCM\n", opt.pinned_pages());
+    dtcm::configure(&mut opt_cpu, &mut opt, &hot, DtcmConfig::default()).expect("configure DTCM");
+    println!("pinned {} pages in DTCM\n", opt.pool().pinned_pages());
 
     for qn in queries {
         let q = TpchQuery(qn);
@@ -39,9 +38,9 @@ fn main() {
         let mb = base_cpu.measure(|c| {
             base.session().run(c, &plan).expect("base");
         });
-        opt.run(&mut opt_cpu, &plan).expect("warm dtcm");
+        opt.session().run(&mut opt_cpu, &plan).expect("warm dtcm");
         let mo = opt_cpu.measure(|c| {
-            opt.run(c, &plan).expect("dtcm");
+            opt.session().run(c, &plan).expect("dtcm");
         });
         println!(
             "{:<4} energy saving {:>6.2}% | performance {:>+6.2}%",

@@ -2,7 +2,9 @@
 //! writer is byte-identical between `--jobs 1` and `--jobs 4`, because
 //! every shard owns its own simulated machine and the aggregator emits in
 //! registry order. This drives a real 3-experiment subset of the suite
-//! (single-shard, multi-shard-merging and calibration-sharing shapes).
+//! (single-shard, multi-shard-merging and calibration-sharing shapes). The
+//! per-experiment `exp.<name>.sim_*` gauges are bit-identical too: every
+//! shard records into its own stats, summed in shard order.
 //!
 //! The same subset also pins down the `mjobs` tracing guarantees: enabling
 //! `--trace` must not change a byte of the report stream, and the trace
@@ -59,12 +61,46 @@ fn run(jobs: usize, trace_dir: Option<PathBuf>) -> String {
     String::from_utf8(out).expect("reports are UTF-8")
 }
 
+/// The `exp.<name>.sim_*` gauges the last suite published, as bit patterns.
+fn sim_gauges() -> Vec<(String, u64)> {
+    mjobs::metrics::global()
+        .snapshot()
+        .into_iter()
+        .filter_map(|(name, m)| match m {
+            mjobs::metrics::Metric::Gauge(v)
+                if name.starts_with("exp.") && name.contains(".sim_") =>
+            {
+                Some((name, v.to_bits()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn parallel_report_stream_is_byte_identical_to_serial() {
     let _guard = seq();
+    mjobs::metrics::global().clear();
     let serial = run(1, None);
+    let serial_sim = sim_gauges();
+    mjobs::metrics::global().clear();
     let parallel = run(4, None);
+    let parallel_sim = sim_gauges();
     assert_eq!(serial, parallel, "report stream must not depend on --jobs");
+
+    // The simulated-cost gauges must not depend on the order in which
+    // shards finish. Table 5's three shards all record measurements.
+    assert_eq!(serial_sim.len(), 3 * subset().len(), "{serial_sim:?}");
+    assert_eq!(
+        serial_sim, parallel_sim,
+        "exp.*.sim_* gauges must be bit-identical across --jobs"
+    );
+    let table5_j = serial_sim
+        .iter()
+        .find(|(n, _)| n == "exp.table5_memory_bound.sim_j")
+        .map(|&(_, bits)| f64::from_bits(bits))
+        .expect("table5 sim_j published");
+    assert!(table5_j > 0.0, "table5's shards must record energy");
 
     // Sanity: all three experiments actually reported, in registry order.
     let i1 = serial.find("# fig03_traversal").expect("fig03 banner");

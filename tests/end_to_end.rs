@@ -6,7 +6,7 @@
 
 use analysis::verify::{mean_accuracy, verify_all};
 use analysis::{Breakdown, CalibrationBuilder, EnergyTable, MicroOp};
-use engines::{DtcmConfig, DtcmDatabase, EngineKind, KnobLevel, Knobs};
+use engines::{dtcm, DtcmConfig, EngineKind, KnobLevel, Knobs};
 use microbench::RunConfig;
 use simcore::{ArchConfig, Cpu, PState};
 use workloads::tpch::gen::build_tpch_db;
@@ -151,12 +151,12 @@ fn dtcm_poc_saves_energy_without_perf_loss() {
 
     let mut opt_cpu = Cpu::new(ArchConfig::arm1176jzf_s());
     opt_cpu.set_prefetch(true);
-    let mut db =
+    let mut opt =
         build_tpch_db(&mut opt_cpu, EngineKind::Lite, KnobLevel::Small, scale).expect("load");
-    db.knobs = Knobs::arm_small();
-    let mut opt = DtcmDatabase::configure(
+    opt.knobs = Knobs::arm_small();
+    dtcm::configure(
         &mut opt_cpu,
-        db,
+        &mut opt,
         &["lineitem", "orders", "customer", "nation", "region"],
         DtcmConfig::default(),
     )
@@ -169,9 +169,9 @@ fn dtcm_poc_saves_energy_without_perf_loss() {
         let mb = base_cpu.measure(|c| {
             base.session().run(c, &plan).expect("base");
         });
-        let ro = opt.run(&mut opt_cpu, &plan).expect("warm o");
+        let ro = opt.session().run(&mut opt_cpu, &plan).expect("warm o");
         let mo = opt_cpu.measure(|c| {
-            opt.run(c, &plan).expect("dtcm");
+            opt.session().run(c, &plan).expect("dtcm");
         });
         assert_eq!(rb.len(), ro.len(), "Q{qn} row counts diverge");
         total += 1;

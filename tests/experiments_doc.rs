@@ -1,0 +1,215 @@
+//! EXPERIMENTS.md quotes the golden report (`bench_output_repro.txt`, the
+//! suite's stdout that CI byte-compares). This test holds four of its
+//! sections to that report: Table 2, Table 3, Fig. 1 and Fig. 5. Each
+//! measured number must equal the report's value rounded to the number of
+//! decimals the doc prints. Every mismatch is listed, not only the first.
+
+/// A file at the repository root.
+fn read(name: &str) -> String {
+    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The text after `heading` up to the next `next`.
+fn section<'a>(text: &'a str, heading: &str, next: &str) -> &'a str {
+    let start = text
+        .find(heading)
+        .unwrap_or_else(|| panic!("no section {heading:?}"))
+        + heading.len();
+    let rest = &text[start..];
+    &rest[..rest.find(next).unwrap_or(rest.len())]
+}
+
+/// The report section of experiment `name`, after its `####` banner.
+fn report_section<'a>(report: &'a str, name: &str) -> &'a str {
+    section(report, &format!("\n# {name}\n#"), "\n####")
+}
+
+/// The doc section whose heading starts with `heading`.
+fn doc_section<'a>(doc: &'a str, heading: &str) -> &'a str {
+    section(doc, &format!("\n{heading}"), "\n## ")
+}
+
+fn num(s: &str) -> f64 {
+    s.trim()
+        .trim_end_matches('%')
+        .parse()
+        .unwrap_or_else(|e| panic!("{s:?}: {e}"))
+}
+
+/// The text between `before` and the next `after` in `s`.
+fn between<'a>(s: &'a str, before: &str, after: &str) -> &'a str {
+    let i = s.find(before).unwrap_or_else(|| panic!("no {before:?}")) + before.len();
+    let n = s[i..].find(after).unwrap_or_else(|| panic!("no {after:?}"));
+    &s[i..i + n]
+}
+
+/// Compares doc numbers with report values at the doc's precision.
+#[derive(Default)]
+struct Checker {
+    checked: usize,
+    mismatches: Vec<String>,
+}
+
+impl Checker {
+    fn check(&mut self, what: &str, doc: &str, report: f64) {
+        let doc = doc.trim();
+        let decimals = doc.split_once('.').map_or(0, |(_, frac)| frac.len());
+        let rounded = format!("{report:.decimals$}");
+        self.checked += 1;
+        if rounded != doc {
+            self.mismatches
+                .push(format!("{what}: doc reads {doc}, report reads {report}"));
+        }
+    }
+}
+
+/// The measured cells of a doc table: (first cell, last cell) per row.
+fn doc_rows(section: &str) -> Vec<(&str, &str)> {
+    section
+        .lines()
+        .filter(|l| l.starts_with("| ")) // not the `|---|` separator
+        .skip(1) // header
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+            (cells[0], cells[cells.len() - 1])
+        })
+        .collect()
+}
+
+/// Table 2: `dE_<name> P36 P24 P12` rows, keyed by `<name>`.
+fn table2(c: &mut Checker, doc: &str, report: &str) {
+    let rep = report_section(report, "table2_microop_energy");
+    let solved = |name: &str| -> Vec<f64> {
+        let key = format!("dE_{name}");
+        let line = rep
+            .lines()
+            .find(|l| l.split_whitespace().next().map(|t| t.trim_end_matches(',')) == Some(&key))
+            .unwrap_or_else(|| panic!("no report row {key}"));
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        tokens[tokens.len() - 3..].iter().map(|t| num(t)).collect()
+    };
+    let rows = doc_rows(doc_section(doc, "## Table 2"));
+    assert_eq!(rows.len(), 7, "Table 2 rows");
+    for (label, measured) in rows {
+        let cells: Vec<&str> = measured.split(" / ").collect();
+        if let Some(names) = label.strip_suffix(" (P36)") {
+            // "add / nop (P36)": one P36 value per named micro-op.
+            for (name, cell) in names.split(" / ").zip(&cells) {
+                c.check(&format!("Table 2 {name} P36"), cell, solved(name)[0]);
+            }
+        } else {
+            // "L3 (= pf^L2)": P36 / P24 / P12 of one micro-op.
+            let name = label.split(" (").next().unwrap_or(label);
+            assert_eq!(cells.len(), 3, "Table 2 {label}");
+            for ((ps, cell), v) in ["P36", "P24", "P12"].iter().zip(&cells).zip(solved(name)) {
+                c.check(&format!("Table 2 {name} {ps}"), cell, v);
+            }
+        }
+    }
+}
+
+/// Table 3: the measured accuracy range and mean.
+fn table3(c: &mut Checker, doc: &str, report: &str) {
+    let rep = report_section(report, "table3_verification");
+    let accs: Vec<f64> = rep
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| num(l.split_whitespace().last().expect("acc% column")))
+        .collect();
+    assert_eq!(accs.len(), 7, "Table 3 verification rows");
+    let lo = accs.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = accs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mean = num(between(rep, "average accuracy: ", "%"));
+
+    // "Paper: …. Measured: lo–hi %, **mean m %**."
+    let text = doc_section(doc, "## Table 3");
+    let measured = &text[text.find("Measured: ").expect("Table 3 measured")..];
+    let (doc_lo, doc_hi) = between(measured, "Measured: ", " %")
+        .split_once('–')
+        .expect("Table 3 range");
+    c.check("Table 3 lowest accuracy", doc_lo, lo);
+    c.check("Table 3 highest accuracy", doc_hi, hi);
+    c.check(
+        "Table 3 mean accuracy",
+        between(measured, "mean ", " %"),
+        mean,
+    );
+}
+
+/// Fig. 1: idle and busy power of the trace, and the background share.
+fn fig01(c: &mut Checker, doc: &str, report: &str) {
+    let rep = report_section(report, "fig01_energy_timeline");
+    let watts = |phase: &str| -> Vec<f64> {
+        rep.lines()
+            .filter(|l| l.split_whitespace().nth(2) == Some(phase))
+            .map(|l| num(l.split_whitespace().nth(1).expect("watts")))
+            .collect()
+    };
+    let (idle, busy) = (watts("idle"), watts("BUSY"));
+    assert!(!idle.is_empty() && !busy.is_empty(), "Fig. 1 trace rows");
+    let share = rep
+        .lines()
+        .find(|l| l.ends_with("% background)"))
+        .expect("Fig. 1 background line");
+    let background = num(between(share, "(", "% background)"));
+
+    let text = doc_section(doc, "## Fig. 1");
+    let doc_idle = between(text, "Idle ≈ ", " W");
+    for (i, &w) in idle.iter().enumerate() {
+        c.check(&format!("Fig. 1 idle sample {i}"), doc_idle, w);
+    }
+    let (doc_lo, doc_hi) = between(text, "busy ", " W")
+        .split_once('–')
+        .expect("Fig. 1 busy range");
+    let lo = busy.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = busy.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    c.check("Fig. 1 lowest busy power", doc_lo, lo);
+    c.check("Fig. 1 highest busy power", doc_hi, hi);
+    c.check(
+        "Fig. 1 background share",
+        between(text, "Background ≈ ", " %"),
+        background,
+    );
+}
+
+/// Fig. 5: per-engine bucket counts and median P36 residency.
+fn fig05(c: &mut Checker, doc: &str, report: &str) {
+    let rep = report_section(report, "fig05_pstate_distribution");
+    let rows = doc_rows(doc_section(doc, "## Fig. 5"));
+    assert_eq!(rows.len(), 3, "Fig. 5 rows");
+    for (engine, measured) in rows {
+        let line = rep
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(engine))
+            .unwrap_or_else(|| panic!("no report row {engine}"));
+        let tokens: Vec<&str> = line.split_whitespace().skip(1).collect();
+        let (counts, median) = measured.split_once(", median ").expect("Fig. 5 cell");
+        let counts: Vec<&str> = counts.split('/').collect();
+        assert_eq!((counts.len(), tokens.len()), (5, 6), "Fig. 5 {engine}");
+        for (i, (cell, t)) in counts.iter().zip(&tokens).enumerate() {
+            c.check(&format!("Fig. 5 {engine} bucket {i}"), cell, num(t));
+        }
+        let median = median.trim_end_matches('%').trim();
+        c.check(&format!("Fig. 5 {engine} median"), median, num(tokens[5]));
+    }
+}
+
+#[test]
+fn experiments_md_agrees_with_the_golden_report() {
+    let doc = read("EXPERIMENTS.md");
+    let report = read("bench_output_repro.txt");
+    let mut c = Checker::default();
+    table2(&mut c, &doc, &report);
+    table3(&mut c, &doc, &report);
+    fig01(&mut c, &doc, &report);
+    fig05(&mut c, &doc, &report);
+    assert!(c.checked >= 40, "only {} numbers checked", c.checked);
+    assert!(
+        c.mismatches.is_empty(),
+        "EXPERIMENTS.md disagrees with bench_output_repro.txt:\n{}",
+        c.mismatches.join("\n")
+    );
+}
