@@ -2,14 +2,16 @@
 //!
 //! Replays six access traces through the per-access reference verbs
 //! (`Cpu::load_reference`/`Cpu::store_reference`, the frozen scalar step
-//! that is the fast path's test oracle; production reaches it only with
-//! the fast path off) and through `Cpu::access_run`, and reports simulated
-//! accesses per host second for each, plus the speedup.
-//! The two replays issue the *identical* access sequence (the equivalence
-//! is proven bit-exact by `tests/access_equiv.rs`); this binary measures
-//! only how fast the simulator gets through it. Each arm runs three times with the arms
-//! alternated, and the fastest rep per arm is reported — single runs on a
-//! shared host swing far too much to gate on.
+//! that is the fast path's test oracle and never a production path) and
+//! through `Cpu::access_run` and the repeat verbs, and reports simulated
+//! accesses per host second for each, plus the speedup. The two replays
+//! issue the *identical* access sequence (the equivalence is proven
+//! bit-exact by `tests/access_equiv.rs`), and after every rep the binary
+//! checks that both machines end with the same PMU counters and the same
+//! bits of RAPL joules, clock and cycles; a difference fails the run and
+//! names the trace. Each arm runs three times with the arms alternated,
+//! and the fastest rep per arm is reported — single runs on a shared host
+//! swing far too much to gate on.
 //!
 //! Traces:
 //! * `scan_hot`   — repeated passes over an L1-resident window (the shape of
@@ -27,30 +29,24 @@
 //!   the materialized batch into a bounded scratch ring), so the `vec`
 //!   personality's dominant access pattern has its own floor.
 //!
-//! `--e2e` additionally runs the full repro_all experiment suite twice
-//! in-process — once with the fast paths disabled, once enabled — checks the
-//! report streams are byte-identical, and records both wall-clocks. Results
-//! are written as JSON (schema v3) to the path given as the one non-flag
-//! argument, by default `BENCH_simcore.json` in full mode and
+//! Results are written as JSON (schema v4) to the path given as the one
+//! non-flag argument, by default `BENCH_simcore.json` in full mode and
 //! `target/perfbench-smoke.json` in smoke mode, and the file is re-read
 //! and validated before exit. An unknown flag or a second path prints the
-//! usage and exits 2. The JSON's `replayed_lines` always reads 0: simcore
-//! no longer has a replay regime. `--smoke` shrinks the iteration counts
-//! for CI and gates on the `scan_cold` and `columnar_scan` floors; the
-//! full mode gates on every trace's hard floor and additionally reports
-//! (without failing) any trace that met its floor but not its design
-//! target — see [`THRESHOLDS`].
+//! usage and exits 2. `--smoke` shrinks the iteration counts for CI and
+//! gates on the `scan_cold` and `columnar_scan` floors; the full mode
+//! gates on every trace's hard floor and additionally reports (without
+//! failing) any trace that met its floor but not its design target — see
+//! [`THRESHOLDS`].
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use mjobs::json::{parse, Json};
-use simcore::{set_fastpath, ArchConfig, Cpu, Dep, RunStats, LINE};
+use simcore::{ArchConfig, Cpu, Dep, PmuSnapshot, RunStats, LINE};
 
-/// Wall-clock of the previous release's repro_all (fast paths of PR 3 only,
-/// measured on the same reference host before the cold/chase/replay paths
-/// landed). Recorded in the JSON so the end-to-end delta is tracked.
-const PREV_RELEASE_REPRO_ALL_S: f64 = 471.9;
+/// The JSON schema `to_json` writes and `validate` accepts.
+const SCHEMA: &str = "microjoule.perfbench/v4";
 
 /// Per-trace speedup thresholds: (trace, hard floor, design target).
 ///
@@ -123,18 +119,20 @@ impl TraceResult {
     }
 }
 
-/// End-to-end suite timing: the same repro_all run with the fast paths off
-/// and on, plus whether the two report streams matched byte-for-byte.
-struct SuiteResult {
-    wall_off_s: f64,
-    wall_on_s: f64,
-    report_identical: bool,
-}
+/// What a replay leaves on its machine: the PMU counters, and the bits of
+/// the core, package and memory joules, the clock and the cycles.
+type EndState = (PmuSnapshot, [u64; 5]);
 
-impl SuiteResult {
-    fn speedup(&self) -> f64 {
-        self.wall_off_s / self.wall_on_s
-    }
+fn end_state(cpu: &mut Cpu) -> EndState {
+    let r = cpu.rapl();
+    let values = [
+        r.core_j,
+        r.package_j,
+        r.memory_j,
+        cpu.time_s(),
+        cpu.cycles(),
+    ];
+    (cpu.pmu_snapshot(), values.map(f64::to_bits))
 }
 
 fn fresh_cpu() -> (Cpu, u64) {
@@ -150,22 +148,25 @@ fn fresh_cpu() -> (Cpu, u64) {
 /// to spuriously trip the speedup gates in either direction).
 const REPS: u32 = 3;
 
-/// Time `f(cpu, base)` once on a fresh machine; returns (elapsed ns, run
-/// stats). The stats are drained per run so each rep starts clean.
-fn timed_once(f: &impl Fn(&mut Cpu, u64)) -> (u128, RunStats) {
+/// Time `f(cpu, base)` once on a fresh machine; returns the elapsed ns,
+/// the machine's end state and its run stats. The machine is dropped
+/// before the next rep, so each rep starts clean.
+fn timed_once(f: &impl Fn(&mut Cpu, u64)) -> (u128, EndState, RunStats) {
     let (mut cpu, base) = fresh_cpu();
     let t0 = Instant::now();
     f(&mut cpu, base);
     let ns = t0.elapsed().as_nanos().max(1);
-    (ns, cpu.run_stats())
+    (ns, end_state(&mut cpu), cpu.run_stats())
 }
 
+/// Time both replays of a trace; an error names the trace if the two
+/// machines end in different states.
 fn run_trace(
     name: &'static str,
     accesses: u64,
     scalar: impl Fn(&mut Cpu, u64),
     batched: impl Fn(&mut Cpu, u64),
-) -> TraceResult {
+) -> Result<TraceResult, String> {
     // Alternate the arms within each rep so a slow host phase (frequency
     // ramp, a neighbour filling the shared LLC) penalises both equally
     // instead of biasing whichever arm it happens to land on.
@@ -173,24 +174,30 @@ fn run_trace(
     let mut batched_ns = u128::MAX;
     let mut stats = None;
     for _ in 0..REPS {
-        let (s, _) = timed_once(&scalar);
-        let (b, st) = timed_once(&batched);
+        let (s, scalar_end, _) = timed_once(&scalar);
+        let (b, batched_end, st) = timed_once(&batched);
+        if scalar_end != batched_end {
+            return Err(format!(
+                "{name}: the scalar and batched replays ended in different states\n\
+                 scalar:  {scalar_end:?}\nbatched: {batched_end:?}"
+            ));
+        }
         scalar_ns = scalar_ns.min(s);
         batched_ns = batched_ns.min(b);
         // The counters are deterministic — every rep reports the same
         // values — so keeping the first rep's is arbitrary but exact.
         stats.get_or_insert(st);
     }
-    TraceResult {
+    Ok(TraceResult {
         name,
         accesses,
         scalar_ns,
         batched_ns,
         stats: stats.expect("at least one rep"),
-    }
+    })
 }
 
-fn run_all(scale: u64) -> Vec<TraceResult> {
+fn run_all(scale: u64) -> Result<Vec<TraceResult>, String> {
     let mut results = Vec::new();
 
     // scan_hot: `passes` full passes over a 256-line (16 KB) window that
@@ -213,7 +220,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 cpu.access_run(base, hot_lines, false, Dep::Stream);
             }
         },
-    ));
+    )?);
 
     // scan_cold: passes over a 16 MB window (past the 8 MB L3) — nothing
     // stays resident; the batched arm takes the fused cold walk.
@@ -234,7 +241,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 cpu.access_run(base, cold_lines, false, Dep::Stream);
             }
         },
-    ));
+    )?);
 
     // chase: dependent loads at pseudo-random lines in a 1 MB window.
     let chases: u64 = 200_000 * scale;
@@ -254,7 +261,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 cpu.access_run(base + chase_at(&mut rng), 1, false, Dep::Chase);
             }
         },
-    ));
+    )?);
 
     // mixed: warm read run + chase + hot repeat + store run per iteration
     // (roughly the shape of an index-nested-loop over warm pages).
@@ -287,7 +294,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 cpu.access_run(base, 64, true, Dep::Stream);
             }
         },
-    ));
+    )?);
 
     // set_conflict_storm: every access at stride 4096 lands in L1D set 0
     // (64 sets × 64 B), with 40 distinct tags so L1 misses forever while L2
@@ -318,7 +325,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 }
             }
         },
-    ));
+    )?);
 
     // columnar_scan: the batch executor's per-batch lane traffic — stream
     // the predicate lane (1024 rows × 8 B = 128 lines), stream the
@@ -368,48 +375,15 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                 }
             }
         },
-    ));
+    )?);
 
-    results
+    Ok(results)
 }
 
-/// Run the full repro_all suite in-process and return (wall seconds, report
-/// bytes). `mjrt::run_suite` drains the fast-path counters itself, so each
-/// arm starts clean.
-fn run_suite_once() -> (f64, Vec<u8>) {
-    let cfg = mjrt::HarnessConfig::default();
-    let mut out = Vec::new();
-    let mut summary = std::io::sink();
-    let t0 = Instant::now();
-    let outcome = mjrt::run_suite(bench::experiments::REGISTRY, &cfg, &mut out, &mut summary)
-        .expect("suite report stream");
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(
-        outcome.failures().is_empty(),
-        "repro_all failed under perfbench: {:?}",
-        outcome.failures()
-    );
-    (wall, out)
-}
-
-fn run_e2e() -> SuiteResult {
-    eprintln!("perfbench: e2e arm 1/2 (fast paths off) ...");
-    set_fastpath(false);
-    let (wall_off_s, report_off) = run_suite_once();
-    eprintln!("perfbench: e2e arm 2/2 (fast paths on) ...");
-    set_fastpath(true);
-    let (wall_on_s, report_on) = run_suite_once();
-    SuiteResult {
-        wall_off_s,
-        wall_on_s,
-        report_identical: report_off == report_on,
-    }
-}
-
-fn to_json(results: &[TraceResult], suite: Option<&SuiteResult>, mode: &str) -> String {
+fn to_json(results: &[TraceResult], mode: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"microjoule.perfbench/v3\",\n");
+    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str("  \"traces\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -421,7 +395,7 @@ fn to_json(results: &[TraceResult], suite: Option<&SuiteResult>, mode: &str) -> 
              \"speedup\": {:.3}, \
              \"floor\": {:.1}, \"target\": {:.1}, \"target_met\": {}, \
              \"batched_lines\": {}, \"cold_batched_lines\": {}, \
-             \"replayed_lines\": {}, \"fallback_lines\": {}}}{}\n",
+             \"fallback_lines\": {}}}{}\n",
             r.name,
             r.accesses,
             r.scalar_aps(),
@@ -432,26 +406,11 @@ fn to_json(results: &[TraceResult], suite: Option<&SuiteResult>, mode: &str) -> 
             r.speedup() >= target,
             r.stats.batched_lines,
             r.stats.cold_batched_lines,
-            r.stats.replayed_lines,
             r.stats.fallbacks,
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    s.push_str("  ],\n");
-    match suite {
-        Some(e) => s.push_str(&format!(
-            "  \"suite\": {{\"name\": \"repro_all\", \
-             \"wall_s_fastpath_off\": {:.1}, \"wall_s_fastpath_on\": {:.1}, \
-             \"speedup\": {:.3}, \"report_identical\": {}, \
-             \"prev_release_wall_s\": {:.1}}}\n",
-            e.wall_off_s,
-            e.wall_on_s,
-            e.speedup(),
-            e.report_identical,
-            PREV_RELEASE_REPRO_ALL_S,
-        )),
-        None => s.push_str("  \"suite\": null\n"),
-    }
+    s.push_str("  ]\n");
     s.push_str("}\n");
     s
 }
@@ -461,7 +420,7 @@ fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot re-read {path}: {e}"))?;
     let v = parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "microjoule.perfbench/v3" {
+    if schema != SCHEMA {
         return Err(format!("unexpected schema {schema:?}"));
     }
     let traces = v
@@ -484,16 +443,6 @@ fn validate(path: &str) -> Result<(), String> {
             }
         }
     }
-    if let Some(suite) = v.get("suite") {
-        if !matches!(suite, Json::Null) {
-            for key in ["wall_s_fastpath_off", "wall_s_fastpath_on"] {
-                let w = suite.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-                if w.is_nan() || w <= 0.0 {
-                    return Err(format!("suite: {key} = {w} (must be > 0)"));
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -501,7 +450,6 @@ fn validate(path: &str) -> Result<(), String> {
 #[derive(Debug, PartialEq)]
 struct Args {
     smoke: bool,
-    e2e: bool,
     /// Where the JSON goes: the non-flag argument, else the
     /// committed `BENCH_simcore.json` in full mode and a file under
     /// `target/` in smoke mode, so a smoke run never overwrites the
@@ -509,15 +457,14 @@ struct Args {
     path: String,
 }
 
-const USAGE: &str = "usage: perfbench [--smoke] [--e2e] [PATH]";
+const USAGE: &str = "usage: perfbench [--smoke] [PATH]";
 
 /// Parse the command line; an unknown flag or a second path is an error.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let (mut smoke, mut e2e, mut path) = (false, false, None);
+    let (mut smoke, mut path) = (false, None);
     for arg in args {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--e2e" => e2e = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             _ => {
                 if let Some(first) = path.replace(arg) {
@@ -533,13 +480,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     };
     Ok(Args {
         smoke,
-        e2e,
         path: path.unwrap_or_else(|| default.to_string()),
     })
 }
 
 fn main() -> ExitCode {
-    let Args { smoke, e2e, path } = match parse_args(std::env::args().skip(1)) {
+    let Args { smoke, path } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("perfbench: {e}\n{USAGE}");
@@ -550,10 +496,16 @@ fn main() -> ExitCode {
     // couple of seconds; the committed BENCH_simcore.json comes from full.
     let (mode, scale) = if smoke { ("smoke", 1) } else { ("full", 20) };
 
-    let results = run_all(scale);
+    let results = match run_all(scale) {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("perfbench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     for r in &results {
         println!(
-            "{:<10} {:>12} accesses  scalar {:>12.0}/s  batched {:>12.0}/s  speedup {:>6.2}x  ({} batched, {} cold, {} replayed, {} fallback lines)",
+            "{:<10} {:>12} accesses  scalar {:>12.0}/s  batched {:>12.0}/s  speedup {:>6.2}x  ({} batched, {} cold, {} fallback lines)",
             r.name,
             r.accesses,
             r.scalar_aps(),
@@ -561,28 +513,11 @@ fn main() -> ExitCode {
             r.speedup(),
             r.stats.batched_lines,
             r.stats.cold_batched_lines,
-            r.stats.replayed_lines,
             r.stats.fallbacks,
         );
     }
 
-    let suite = e2e.then(run_e2e);
-    if let Some(e) = &suite {
-        println!(
-            "repro_all   fastpath off {:>8.1}s  on {:>8.1}s  speedup {:>5.2}x  report_identical {}  (prev release {:.1}s)",
-            e.wall_off_s,
-            e.wall_on_s,
-            e.speedup(),
-            e.report_identical,
-            PREV_RELEASE_REPRO_ALL_S,
-        );
-        if !e.report_identical {
-            eprintln!("perfbench: fast paths changed the repro_all report stream");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let json = to_json(&results, suite.as_ref(), mode);
+    let json = to_json(&results, mode);
     let dir = std::path::Path::new(&path).parent();
     if let Some(Err(e)) = dir.map(std::fs::create_dir_all) {
         eprintln!("perfbench: cannot create the directory of {path}: {e}");
@@ -646,11 +581,10 @@ mod tests {
     #[test]
     fn default_output_keeps_smoke_runs_off_the_committed_file() {
         let full = args(&[]);
-        assert!(!full.smoke && !full.e2e);
+        assert!(!full.smoke);
         assert_eq!(full.path, "BENCH_simcore.json");
-        assert_eq!(args(&["--e2e"]).path, "BENCH_simcore.json");
         let smoke = args(&["--smoke"]);
-        assert!(smoke.smoke && !smoke.e2e);
+        assert!(smoke.smoke);
         assert_eq!(smoke.path, "target/perfbench-smoke.json");
         for list in [&["--smoke", "out.json"][..], &["out.json", "--smoke"]] {
             assert_eq!(args(list).path, "out.json", "{list:?}");
@@ -663,22 +597,32 @@ mod tests {
         for list in [
             &["--smok"][..],
             &["--smoke", "-x"],
-            &["--e2e=1"],
             &["--smoke", "a.json", "b.json"],
-            &["a.json", "--e2e", "b.json"],
+            &["a.json", "--smoke", "b.json"],
         ] {
             assert!(try_args(list).is_err(), "{list:?} must be rejected");
         }
     }
 
     /// The committed `BENCH_simcore.json` must agree with the code that
-    /// writes it: every trace's floor and target equal [`THRESHOLDS`], and
-    /// its `target_met` flag matches its recorded speedup.
+    /// writes it: its schema is the one [`to_json`] writes, every trace's
+    /// floor and target equal [`THRESHOLDS`], its recorded speedup meets
+    /// its floor, and its `target_met` flag matches that speedup.
     #[test]
     fn committed_bench_file_matches_thresholds() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json");
         let text = std::fs::read_to_string(path).expect("read the committed BENCH_simcore.json");
         let v = parse(&text).expect("BENCH_simcore.json parses");
+        assert_eq!(
+            v.get("schema").and_then(Json::as_str),
+            Some(SCHEMA),
+            "the committed file's schema is not the one to_json writes"
+        );
+        assert_eq!(
+            v.get("mode").and_then(Json::as_str),
+            Some("full"),
+            "the committed file comes from a full run"
+        );
         let traces = v
             .get("traces")
             .and_then(Json::as_arr)
@@ -697,6 +641,11 @@ mod tests {
                 num("target"),
                 target,
                 "{name}: target differs from THRESHOLDS"
+            );
+            assert!(
+                num("speedup") >= floor,
+                "{name}: the committed speedup {} is below its {floor}x floor",
+                num("speedup")
             );
             let target_met = match t.get("target_met") {
                 Some(Json::Bool(b)) => *b,

@@ -147,9 +147,11 @@ impl HarnessConfig {
                     self.trace = true;
                     self.metrics = true;
                 }
-                "--scale" => self.scale = parse(&value("--scale")?, "--scale")?,
-                "--arm-scale" => self.arm_scale = parse(&value("--arm-scale")?, "--arm-scale")?,
-                "--sec5-scale" => self.sec5_scale = parse(&value("--sec5-scale")?, "--sec5-scale")?,
+                "--scale" => self.scale = positive(&value("--scale")?, "--scale")?,
+                "--arm-scale" => self.arm_scale = positive(&value("--arm-scale")?, "--arm-scale")?,
+                "--sec5-scale" => {
+                    self.sec5_scale = positive(&value("--sec5-scale")?, "--sec5-scale")?;
+                }
                 "--cal-ops" => self.cal_ops = parse(&value("--cal-ops")?, "--cal-ops")?,
                 "--csv" => self.csv = true,
                 "--results-dir" => self.results_root = PathBuf::from(value("--results-dir")?),
@@ -158,7 +160,7 @@ impl HarnessConfig {
                     n => self.sessions = n,
                 },
                 "--arrival-rate" => {
-                    self.arrival_rate = parse(&value("--arrival-rate")?, "--arrival-rate")?;
+                    self.arrival_rate = positive(&value("--arrival-rate")?, "--arrival-rate")?;
                 }
                 "--admit-limit" => {
                     self.admit_limit = parse(&value("--admit-limit")?, "--admit-limit")?;
@@ -187,6 +189,16 @@ impl HarnessConfig {
 fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("cannot parse {v:?} for {flag}\n{USAGE}"))
+}
+
+/// A scale or a rate: a finite number above zero.
+fn positive(v: &str, flag: &str) -> Result<f64, String> {
+    match parse::<f64>(v, flag)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!(
+            "{flag} must be a finite number above zero, not {v:?}\n{USAGE}"
+        )),
+    }
 }
 
 /// CLI usage string shared by the harness binaries.
@@ -305,5 +317,18 @@ mod tests {
         assert!(cfg.apply_args(["--mix", "bogus"]).is_err());
         assert!(cfg.apply_args(["--sessions", "0"]).is_err());
         assert_eq!((cfg.mix, cfg.sessions), (MixKind::Oltp, 64));
+        for flag in ["--scale", "--arm-scale", "--sec5-scale", "--arrival-rate"] {
+            for bad in ["0", "-1", "nan", "inf"] {
+                assert!(
+                    cfg.apply_args([flag, bad]).is_err(),
+                    "{flag} {bad} must be rejected"
+                );
+            }
+        }
+        let d = HarnessConfig::default();
+        assert_eq!(
+            (cfg.scale, cfg.arm_scale, cfg.sec5_scale, cfg.arrival_rate),
+            (d.scale, d.arm_scale, d.sec5_scale, d.arrival_rate)
+        );
     }
 }

@@ -11,25 +11,25 @@
 //! * [`Cpu::idle_c0`] / [`Cpu::idle_deep`] — let simulated wall time pass
 //!   without work (I/O waits, the background-calibration "sleep 1").
 //!
-//! With the fast path on, every access takes the *fast step*: it prices
-//! from a table built once per operating point and walks the hierarchy
-//! fused. The run verbs ([`Cpu::access_run`], [`Cpu::copy_run`], the
-//! repeat verbs) batch whole runs; the single verbs (`load`, `store`,
-//! `exec_n` and everything built on them) and a run verb's one-at-a-time
-//! fallbacks take a one-access step. An access that may reach a
-//! governor-window edge or sampler tick takes that same step with its
-//! time passed through `advance`, so the governor ticks and the sample
-//! fires where they would. The *reference step* in `cpu/reference.rs`
-//! derives every price and latency per call and walks the hierarchy one
-//! level at a time; production runs it only with the fast path off
-//! ([`set_fastpath`]). It is the oracle, callable per machine as the
-//! doc-hidden `load_reference` / `store_reference` / `exec_n_reference`,
-//! that the equivalence tests and perfbench's scalar arm compare against,
-//! bit for bit (DESIGN.md §9).
+//! Every access takes the *fast step*: it prices from a table built once
+//! per operating point and walks the hierarchy fused. The run verbs
+//! ([`Cpu::access_run`], [`Cpu::copy_run`], the repeat verbs) batch whole
+//! runs; the single verbs (`load`, `store`, `exec_n` and everything built
+//! on them) and a run verb's one-at-a-time fallbacks take a one-access
+//! step. An access that may reach a governor-window edge or sampler tick
+//! takes that same step with its time passed through `advance`, so the
+//! governor ticks and the sample fires where they would. The *reference
+//! step* in `cpu/reference.rs` derives every price and latency per call
+//! and walks the hierarchy one level at a time. It is the oracle, never a
+//! production path: the equivalence tests and perfbench's scalar arm call
+//! it per access as the doc-hidden `load_reference` / `store_reference` /
+//! `exec_n_reference`, and a machine built by the doc-hidden
+//! `Cpu::new_reference` takes it for every access, so whole workloads can
+//! be compared with it bit for bit (DESIGN.md §9).
 
 mod reference;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arch::{ArchConfig, ArchKind};
 use crate::arena::{Arena, MemError, Region};
@@ -53,25 +53,6 @@ thread_local! {
     static ONE_PROBE_REPEATS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Process-wide switch for the batched/fused fast paths. On by default;
-/// turned off, every verb routes through the scalar reference step.
-/// The results are bit-identical either way — the switch exists so
-/// benchmarks can measure the speedup end-to-end and tests can prove the
-/// equivalence on whole workloads.
-static FASTPATH: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable the batched/fused fast paths process-wide (default: on).
-/// On, every access takes the fast step; off, every access takes the
-/// reference step, one at a time. Results are bit-identical either way.
-pub fn set_fastpath(on: bool) {
-    FASTPATH.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-fn fastpath_enabled() -> bool {
-    FASTPATH.load(Ordering::Relaxed)
-}
-
 /// Fast-path effectiveness totals (see [`take_run_stats`] /
 /// [`Cpu::run_stats`]). They count *lines* (accesses) of the run verbs
 /// ([`Cpu::access_run`], [`Cpu::copy_run`] and the repeat verbs after their
@@ -90,12 +71,13 @@ pub struct RunStats {
     /// longer exists: every run of L1D hits now takes the hot batch and
     /// counts in `batched_lines`. The field stays because readers outside
     /// simcore still publish it: the `simcore.run_replayed_lines` metric,
-    /// `profile.json`'s `replayed` key, difftest's sums, perfbench's JSON
-    /// and hostbench's `simcore.lines_replayed`.
+    /// `profile.json`'s `replayed` key, difftest's sums and hostbench's
+    /// `simcore.lines_replayed`.
     pub replayed_lines: u64,
-    /// Run-verb lines stepped one at a time: at a governor-window edge or
-    /// sampler tick, under a fillable chase shadow, or a chase run's TCM
-    /// line (every line, with the fast path off).
+    /// Run-verb lines stepped one at a time through the single verbs: at a
+    /// governor-window edge or sampler tick, under a fillable chase
+    /// shadow, or a chase run's TCM line. On a machine built by
+    /// `Cpu::new_reference`, every run-verb line but a repeat's first.
     pub fallbacks: u64,
 }
 
@@ -206,7 +188,8 @@ struct StallStep {
 #[derive(Debug, Clone, Copy)]
 struct Budget {
     /// Every clock value below this is provably before the next edge;
-    /// `INFINITY` with neither the governor nor a sampler active.
+    /// `INFINITY` with neither the governor nor a sampler active, and
+    /// `NEG_INFINITY` on a reference machine, where no access fits.
     edge: f64,
     /// Rounding allowance per access: a step adds to the clock at most
     /// four times (a copied line), each rounding by at most half an ulp of
@@ -447,6 +430,10 @@ pub struct Cpu {
     run_cold_batched_lines: u64,
     /// Run-verb lines stepped one at a time (see [`RunStats::fallbacks`]).
     run_fallbacks: u64,
+    /// Whether this machine is the oracle (`Cpu::new_reference`): its
+    /// single verbs take the reference step and its time budget has no
+    /// room, so no run verb batches.
+    reference: bool,
 }
 
 impl Drop for Cpu {
@@ -491,6 +478,7 @@ impl Cpu {
             run_batched_lines: 0,
             run_cold_batched_lines: 0,
             run_fallbacks: 0,
+            reference: false,
         }
     }
 
@@ -777,6 +765,12 @@ impl Cpu {
 
     /// The fast paths' time budget from the current clock (see [`Budget`]).
     fn budget(&self) -> Budget {
+        if self.reference {
+            return Budget {
+                edge: f64::NEG_INFINITY,
+                margin: 0.0,
+            };
+        }
         let mut edge = f64::INFINITY;
         if self.governor_on {
             // `tick_governor` fires once `time_s - win_start_s >=
@@ -964,7 +958,7 @@ impl Cpu {
     /// A run verb's one-at-a-time fallback, for an access that may reach a
     /// governor-window edge or sampler tick or that no batching regime
     /// covers: count it in [`RunStats::fallbacks`], then take the single
-    /// verb's step (with the fast path off, the reference step).
+    /// verb's step (on a reference machine, the reference step).
     #[inline]
     fn fallback_step(&mut self, line: u64, write: bool, dep: Dep) {
         self.run_fallbacks += 1;
@@ -1112,22 +1106,15 @@ impl Cpu {
     /// "Time budget"). The access that may reach the edge is stepped alone
     /// by the single verb's step, as are accesses under an unfilled chase
     /// shadow and TCM lines of a chase run; these count as
-    /// [`RunStats::fallbacks`]. With the fast path disabled via
-    /// [`set_fastpath`], every access takes the reference step. For any
-    /// access sequence the PMU counters, RAPL joules, timeline cycles,
-    /// governor P-states and timeline samples are bit-identical to issuing
-    /// the same accesses one at a time through the reference step.
+    /// [`RunStats::fallbacks`]. On a reference machine the budget has no
+    /// room, so every access is such a fallback and takes the reference
+    /// step. For any access sequence the PMU counters, RAPL joules,
+    /// timeline cycles, governor P-states and timeline samples are
+    /// bit-identical to issuing the same accesses one at a time through
+    /// the reference step.
     pub fn access_run(&mut self, addr: u64, lines: u64, write: bool, dep: Dep) {
         let mut line = addr & !(crate::LINE - 1);
         let mut left = lines;
-        if !fastpath_enabled() {
-            while left > 0 {
-                self.fallback_step(line, write, dep);
-                line += crate::LINE;
-                left -= 1;
-            }
-            return;
-        }
         let tcm_limit = self.hier.tcm_limit();
         self.ensure_prices();
         if dep == Dep::Chase && !write {
@@ -1206,14 +1193,6 @@ impl Cpu {
     /// fillable chase shadow or in the TCM window, is a fallback pair.
     pub fn copy_run(&mut self, addr: u64, lines: u64) {
         let mut line = addr & !(crate::LINE - 1);
-        if !fastpath_enabled() {
-            for _ in 0..lines {
-                self.fallback_step(line, false, Dep::Stream);
-                self.fallback_step(line, true, Dep::Stream);
-                line += crate::LINE;
-            }
-            return;
-        }
         let tcm_limit = self.hier.tcm_limit();
         self.ensure_prices();
         let mut ctx = self.hier.cold_ctx();
@@ -1256,8 +1235,8 @@ impl Cpu {
             return;
         }
         // Otherwise the first access resolves residency/allocation through
-        // a full walk (the single verb: its fast step, or the reference
-        // step), and the rest batch as far as the time budget allows.
+        // a full walk (the single verb's step), and the rest batch as far
+        // as the time budget allows.
         if write {
             self.store(addr);
         } else {
@@ -1265,7 +1244,7 @@ impl Cpu {
         }
         let mut rest = n - 1;
         while rest > 0 {
-            let k = if self.fillable > 0.0 || !fastpath_enabled() {
+            let k = if self.fillable > 0.0 {
                 0
             } else {
                 self.ensure_prices();
@@ -1295,13 +1274,13 @@ impl Cpu {
         }
     }
 
-    /// One probe of `line` for a repeat of `n` accesses: with the fast
-    /// path on, no fillable chase shadow and all `n` ending before the next
-    /// edge, the `n` accesses of a TCM line or of a resident L1D line, the
-    /// first included, are `n` known hits, charged here. Returns whether
-    /// it charged them; otherwise nothing changed.
+    /// One probe of `line` for a repeat of `n` accesses: with no fillable
+    /// chase shadow and all `n` ending before the next edge, the `n`
+    /// accesses of a TCM line or of a resident L1D line, the first
+    /// included, are `n` known hits, charged here. Returns whether it
+    /// charged them; otherwise nothing changed.
     fn repeat_known_hits(&mut self, line: u64, n: u64, write: bool) -> bool {
-        if !fastpath_enabled() || self.fillable > 0.0 {
+        if self.fillable > 0.0 {
             return false;
         }
         self.ensure_prices();
@@ -1425,19 +1404,19 @@ impl Cpu {
 
     /// Simulate one load of the line containing `addr`.
     pub fn load(&mut self, addr: u64, dep: Dep) {
-        if fastpath_enabled() {
-            self.access_fast(addr, false, dep);
-        } else {
+        if self.reference {
             self.load_reference(addr, dep);
+        } else {
+            self.access_fast(addr, false, dep);
         }
     }
 
     /// Simulate one store to the line containing `addr`.
     pub fn store(&mut self, addr: u64) {
-        if fastpath_enabled() {
-            self.access_fast(addr, true, Dep::Stream);
-        } else {
+        if self.reference {
             self.store_reference(addr);
+        } else {
+            self.access_fast(addr, true, Dep::Stream);
         }
     }
 
@@ -1476,10 +1455,10 @@ impl Cpu {
         if n == 0 {
             return;
         }
-        if fastpath_enabled() {
-            self.exec_fast(op, n);
-        } else {
+        if self.reference {
             self.exec_n_reference(op, n);
+        } else {
+            self.exec_fast(op, n);
         }
     }
 
@@ -2088,6 +2067,38 @@ mod tests {
         );
         c.load_reference(r.addr, Dep::Stream);
         assert_eq!(reference_calls(), calls + 1, "the counter must count");
+    }
+
+    #[test]
+    fn a_reference_machine_takes_the_reference_step_for_every_access() {
+        // Every verb once: 8 stream lines, 8 stored lines, 4 chase lines, a
+        // 3-line copy, two 5-access repeats, a load, a store and an op
+        // block. Each access is one reference call; every run-verb line is
+        // a fallback except a repeat's first access, a single access.
+        let verbs = |c: &mut Cpu| {
+            let r = c.alloc(4096).unwrap();
+            c.access_run(r.addr, 8, false, Dep::Stream);
+            c.access_run(r.addr + 512, 8, true, Dep::Stream);
+            c.access_run(r.addr + 1024, 4, false, Dep::Chase);
+            c.copy_run(r.addr + 2048, 3);
+            c.load_repeat(r.addr, 5);
+            c.store_repeat(r.addr + 64, 5);
+            c.load(r.addr + 3072, Dep::Stream);
+            c.store(r.addr + 3136);
+            c.exec_n(ExecOp::Mul, 3);
+        };
+        let calls = reference_calls();
+        let mut oracle = Cpu::new_reference(ArchConfig::intel_i7_4790());
+        let m = oracle.measure(verbs);
+        assert_eq!(reference_calls(), calls + 39, "reference steps");
+        let st = oracle.run_stats();
+        assert_eq!(st.served(), 0, "the oracle batched lines ({st:?})");
+        assert_eq!(st.fallbacks, 34, "run-verb lines stepped alone ({st:?})");
+
+        let mut fast = Cpu::new(ArchConfig::intel_i7_4790());
+        assert_identical(&m, &fast.measure(verbs));
+        assert_eq!(reference_calls(), calls + 39, "the fast machine's steps");
+        assert!(fast.run_stats().served() > 0, "the fast machine batched");
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! energy model and the architecture on the spot, the hierarchy is walked
 //! one level at a time (`Hierarchy::load`/`store`), and time passes through
 //! `advance`, so the governor and the sampler see every step. The fast
-//! steps in `cpu.rs` must match them bit for bit. Production reaches them
-//! only with the fast path off (`set_fastpath(false)`); otherwise they are
-//! what `tests/access_equiv.rs`, `tests/fastpath_equiv.rs`, simcore's
-//! equivalence unit tests and perfbench's scalar arm compare against.
+//! steps in `cpu.rs` must match them bit for bit. Production never calls
+//! them. `tests/access_equiv.rs`, simcore's equivalence unit tests and
+//! perfbench's scalar arm call them per access, and a machine built by
+//! `Cpu::new_reference` takes them for every access of every verb, which
+//! is how `tests/fastpath_equiv.rs` runs whole workloads on the oracle.
 
 use super::{Cpu, Dep, ExecOp};
+use crate::arch::ArchConfig;
 use crate::hierarchy::{AccessResult, HitLevel};
 use crate::pmu::Event;
 
 #[cfg(test)]
 thread_local! {
     /// Calls into the three reference verbs on this thread, so unit tests
-    /// can check that the fast path never takes them.
+    /// can check that an ordinary machine never takes them and a reference
+    /// machine takes them for every access.
     pub(super) static CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -27,6 +30,20 @@ fn note_call() {
 }
 
 impl Cpu {
+    /// A machine that is the oracle: its `load`, `store` and `exec_n` take
+    /// the reference step, and its fast paths' time budget has no room, so
+    /// every line of a run verb (a repeat's first access aside) is a
+    /// fallback through those single verbs. Bit-identical to [`Cpu::new`]
+    /// on any workload; kept for whole-workload equivalence tests.
+    #[doc(hidden)]
+    pub fn new_reference(arch: ArchConfig) -> Self {
+        // `Cpu` implements `Drop`, so the flag is set on a built machine
+        // rather than by struct update.
+        let mut cpu = Cpu::new(arch);
+        cpu.reference = true;
+        cpu
+    }
+
     /// The reference step of [`Cpu::load`]: every price, latency and
     /// hierarchy transition derived on the spot. Bit-identical to `load`;
     /// kept callable for equivalence tests and benchmark baselines.

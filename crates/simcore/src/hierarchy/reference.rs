@@ -5,9 +5,9 @@
 //! rippling its dirty victim one level down, and the prefetcher's
 //! proposals probed and pulled one by one. The fused walk in
 //! `hierarchy.rs` must leave the PMU, every cache set, the streamer and
-//! the DRAM row register exactly as these do. Production reaches them only
-//! through the CPU's reference step, with the fast path off; the hierarchy
-//! unit tests compare the fused walk against them.
+//! the DRAM row register exactly as these do. Production never reaches
+//! them: only the CPU's reference step walks them, and the hierarchy unit
+//! tests compare the fused walk against them.
 
 use super::{AccessResult, Hierarchy, HitLevel};
 use crate::cache::Lookup;

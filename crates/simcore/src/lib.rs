@@ -63,10 +63,7 @@ pub mod timeline;
 
 pub use arch::{ArchConfig, ArchKind, CacheConfig};
 pub use arena::{Arena, MemError, Region};
-pub use cpu::{
-    set_fastpath, take_cache_bytes_resident, take_run_stats, Cpu, Dep, ExecOp, Measurement,
-    RunStats,
-};
+pub use cpu::{take_cache_bytes_resident, take_run_stats, Cpu, Dep, ExecOp, Measurement, RunStats};
 pub use dvfs::{Governor, PState};
 pub use energy::{Domain, RaplReading};
 pub use hierarchy::HitLevel;

@@ -4,12 +4,14 @@
 //! verbs `Cpu::load` / `Cpu::store` / `Cpu::exec_n` themselves, promise
 //! that for *any* access sequence the PMU counters, RAPL joules and
 //! timeline cycles are bit-identical to issuing the same accesses one at a
-//! time through the reference step. With the fast path on, production
-//! never calls that step; it is the oracle. This test replays traces twice
-//! — once expanded to the reference verbs (`load_reference`,
+//! time through the reference step. Production never calls that step; it
+//! is the oracle. This test replays traces twice on ordinary machines —
+//! once expanded to the reference verbs (`load_reference`,
 //! `store_reference`, `exec_n_reference`), once through the public entry
 //! points — and compares the two `Measurement`s exactly (`f64::to_bits`,
-//! not an epsilon).
+//! not an epsilon). `tests/fastpath_equiv.rs` makes the same comparison
+//! on whole engine workloads, through a machine that takes the reference
+//! step for every verb (`Cpu::new_reference`).
 //!
 //! Traces cover the randomized case plus the adversarial shapes that have
 //! historically broken "fast path equals slow path" claims: set-conflict

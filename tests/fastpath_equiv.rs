@@ -4,22 +4,22 @@
 //! on access traces. This test proves it on what the engines actually
 //! issue: every engine personality builds the demo database and runs scans,
 //! index ranges, a join, grouped and scalar aggregates, top-N and a few DML
-//! statements, once with `set_fastpath(false)` and once with it on. The two
-//! runs must return the same rows and affected-row counts, and bit-equal
-//! `Measurement`s for the build and for every statement. The set runs
-//! twice: ungoverned, and with fig. 5's 15 µs governor window and 10 µs
-//! sampler, where the timeline samples and the final P-state must match
-//! too.
-//!
-//! `set_fastpath` is process-wide. This file is its own test binary with a
-//! single test, so flipping the switch cannot race another test.
+//! statements, once on a reference machine (`Cpu::new_reference`, whose
+//! every access takes the reference step) and once on an ordinary one. The
+//! two runs must return the same rows and affected-row counts, and
+//! bit-equal `Measurement`s for the build and for every statement. The set
+//! runs twice: ungoverned, and with fig. 5's 15 µs governor window and
+//! 10 µs sampler, where the timeline samples and the final P-state must
+//! match too. So that the comparison cannot pass with both runs on the
+//! same path, the reference run must batch no line and the ordinary run
+//! must batch some.
 
 mod common;
 
 use common::{assert_identical, assert_same_samples};
 use engines::dml::lit;
 use engines::{db::demo_database, Database, Dml, EngineKind, Plan};
-use simcore::{set_fastpath, ArchConfig, Cpu, Measurement, PState, TimelineSample};
+use simcore::{ArchConfig, Cpu, Measurement, PState, RunStats, TimelineSample};
 use storage::{AggFn, AggSpec, CmpOp, Expr, Row, Value};
 
 /// One statement of the workload.
@@ -124,13 +124,19 @@ struct Outcome {
     measurements: Vec<Measurement>,
     samples: Vec<TimelineSample>,
     pstate: PState,
+    stats: RunStats,
 }
 
-/// Build the demo database on `kind` and run the workload, governed as
-/// fig. 5 runs (15 µs window, 10 µs sampler, idle gaps between
-/// statements) or pinned at P36.
-fn run(kind: EngineKind, governed: bool) -> Outcome {
-    let mut cpu = Cpu::new(ArchConfig::intel_i7_4790());
+/// Build the demo database on `kind` and run the workload on a reference
+/// machine or an ordinary one, governed as fig. 5 runs (15 µs window,
+/// 10 µs sampler, idle gaps between statements) or pinned at P36.
+fn run(kind: EngineKind, governed: bool, reference: bool) -> Outcome {
+    let arch = ArchConfig::intel_i7_4790();
+    let mut cpu = if reference {
+        Cpu::new_reference(arch)
+    } else {
+        Cpu::new(arch)
+    };
     if governed {
         cpu.set_governor(true);
         cpu.set_governor_interval(15e-6);
@@ -153,6 +159,7 @@ fn run(kind: EngineKind, governed: bool) -> Outcome {
         measurements,
         samples: cpu.take_sampler().map_or(Vec::new(), |s| s.samples),
         pstate: cpu.pstate(),
+        stats: cpu.run_stats(),
     }
 }
 
@@ -161,10 +168,17 @@ fn fast_path_equals_reference_on_every_engine() {
     for governed in [false, true] {
         for kind in EngineKind::ALL {
             let what = format!("{kind:?}, governed {governed}");
-            set_fastpath(false);
-            let reference = run(kind, governed);
-            set_fastpath(true);
-            let fast = run(kind, governed);
+            let reference = run(kind, governed, true);
+            let fast = run(kind, governed, false);
+            let (rs, fs) = (reference.stats, fast.stats);
+            assert!(
+                rs.served() == 0 && rs.fallbacks > 0,
+                "{what}: the reference run must step every run-verb line alone ({rs:?})"
+            );
+            assert!(
+                fs.served() > 0,
+                "{what}: the fast run batched nothing ({fs:?})"
+            );
             assert_eq!(reference.answers, fast.answers, "{what}: results diverged");
             for (i, (a, b)) in reference
                 .measurements
